@@ -38,7 +38,7 @@ std::vector<std::uint8_t> pack_mask(std::span<const std::uint8_t> mask) {
 
 std::vector<std::uint8_t> unpack_mask(std::span<const std::uint8_t> packed,
                                       std::size_t count) {
-  if (packed.size() < (count + 7) / 8)
+  if (packed.size() < count / 8 + (count % 8 != 0 ? 1 : 0))
     throw std::runtime_error("unpack_mask: truncated mask");
   std::vector<std::uint8_t> out(count);
   std::size_t i = 0;

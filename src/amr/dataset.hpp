@@ -22,6 +22,9 @@ namespace tac::amr {
 /// One refinement level: a full-domain grid plus a validity mask. Cells
 /// with mask == 0 are "empty" — their region of the domain is stored at
 /// some other level. Empty cells hold 0.0 by convention.
+///
+/// The mask defines the level's shape. A structure-only level (the
+/// container header's skeleton) carries a mask and an empty `data`.
 struct AmrLevel {
   Array3D<double> data;
   Array3D<std::uint8_t> mask;
@@ -29,7 +32,7 @@ struct AmrLevel {
   AmrLevel() = default;
   explicit AmrLevel(Dims3 dims) : data(dims), mask(dims) {}
 
-  [[nodiscard]] const Dims3& dims() const { return data.dims(); }
+  [[nodiscard]] const Dims3& dims() const { return mask.dims(); }
 
   [[nodiscard]] std::size_t valid_count() const {
     std::size_t n = 0;

@@ -19,7 +19,8 @@ amr::AmrLevel CompressorBackend::decompress_level(
   verify_payloads(container, header.index);
   ByteReader r(container);
   r.seek(header.payload_offset);
-  amr::AmrDataset full = decompress(r, header.skeleton, header);
+  amr::AmrDataset full =
+      decompress(r, zeroed_levels(header.skeleton), header);
   return std::move(full.level(level));
 }
 

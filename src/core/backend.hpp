@@ -14,10 +14,10 @@
 /// Contract: `compress` writes the common outer header (via
 /// `write_common_header` with this backend's tag) followed by a payload
 /// only this backend can read; `decompress` receives the reader positioned
-/// at that payload plus the structural skeleton decoded from the header,
-/// and must fill every level's data. Backends must be stateless and
-/// thread-safe — the snapshot codec compresses fields concurrently through
-/// one shared instance.
+/// at that payload plus the skeleton decoded from the header with every
+/// level's data allocated and zeroed, and must fill every level's data.
+/// Backends must be stateless and thread-safe — the snapshot codec
+/// compresses fields concurrently through one shared instance.
 
 #include <memory>
 #include <span>
@@ -51,19 +51,21 @@ class CompressorBackend {
                                                const TacConfig& cfg) const = 0;
 
   /// Decodes this backend's payload into the skeleton (structure decoded
-  /// from the common header, data arrays zeroed) and returns the filled
-  /// dataset. `r` is positioned immediately after the common header (and,
-  /// for v2+ containers, after the payload index). `header` supplies the
-  /// payload index — in particular `payload_profile(header, i)`, the codec
-  /// profile each payload's lossless streams must decode under. Callers
-  /// may have moved the skeleton out of `header`, so backends must not
-  /// touch `header.skeleton` — use the `skeleton` parameter.
+  /// from the common header, data arrays allocated and zeroed by
+  /// zeroed_levels) and returns the filled dataset. `r` is positioned
+  /// immediately after the common header (and, for v2+ containers, after
+  /// the payload index). `header` supplies the payload index — in
+  /// particular `payload_profile(header, i)`, the codec profile each
+  /// payload's lossless streams must decode under. `header.skeleton` is
+  /// structure only (empty data) and callers may have moved it out, so
+  /// backends must not touch it — use the `skeleton` parameter.
   [[nodiscard]] virtual amr::AmrDataset decompress(
       ByteReader& r, amr::AmrDataset skeleton,
       const CommonHeader& header) const = 0;
 
   /// Decodes only `level` of the container into a standalone AmrLevel.
   /// `header` must be the result of read_common_header over `container`.
+  /// Only the returned level's data grid is allocated (zeroed_level).
   ///
   /// The base implementation verifies every indexed payload, decodes the
   /// whole container and keeps the requested level — correct for any
@@ -92,7 +94,8 @@ class CompressorBackend {
       const amr::AmrLevel& lv, std::size_t level, const TacConfig& cfg) const;
 
   /// Decodes one payload produced by compress_level_payload() into the
-  /// skeleton level `lv` (mask set, data zeroed). `r` spans exactly the
+  /// skeleton level `lv` (mask set, data allocated and zeroed by
+  /// zeroed_level). `r` spans exactly the
   /// payload bytes; `profile` is the codec profile recorded in its index
   /// entry. Only called when supports_level_payloads() is true; the
   /// default throws.

@@ -116,7 +116,7 @@ class OneDBackend final : public CompressorBackend {
     auto r = indexed_level_reader(container, header, level);
     if (!r)  // v1 container (no index): fall back to the full decode.
       return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = header.skeleton.level(level);
+    amr::AmrLevel lv = zeroed_level(header.skeleton.level(level));
     decode_level(*r, lv, payload_profile(header, level));
     return lv;
   }

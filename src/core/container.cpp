@@ -1,6 +1,7 @@
 #include "core/container.hpp"
 
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -164,10 +165,18 @@ CommonHeader read_common_header(ByteReader& r) {
     d.nx = static_cast<std::size_t>(r.get_varint());
     d.ny = static_cast<std::size_t>(r.get_varint());
     d.nz = static_cast<std::size_t>(r.get_varint());
-    amr::AmrLevel lv(d);
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    if ((d.ny != 0 && d.nx > kMax / d.ny) ||
+        (d.nz != 0 && d.nx * d.ny > kMax / d.nz))
+      throw std::runtime_error(
+          "container: level " + std::to_string(l) + " declares dims " +
+          std::to_string(d.nx) + "x" + std::to_string(d.ny) + "x" +
+          std::to_string(d.nz) + " whose volume overflows");
+    // Structure only: the mask is the level's shape and `data` stays
+    // empty until a decoder materialises the level (zeroed_level).
+    amr::AmrLevel lv;
     const auto packed = lossless::decompress(r.get_blob());
-    const auto mask = amr::unpack_mask(packed, d.volume());
-    std::copy(mask.begin(), mask.end(), lv.mask.data());
+    lv.mask = Array3D<std::uint8_t>(d, amr::unpack_mask(packed, d.volume()));
     levels.push_back(std::move(lv));
   }
   h.skeleton = amr::AmrDataset(field, std::move(levels), ratio);
@@ -260,6 +269,16 @@ void verify_payloads(std::span<const std::uint8_t> container,
                      const PayloadIndex& index) {
   for (std::size_t i = 0; i < index.entries.size(); ++i)
     verify_payload(container, index, i);
+}
+
+amr::AmrLevel zeroed_level(amr::AmrLevel shape) {
+  shape.data = Array3D<double>(shape.dims());
+  return shape;
+}
+
+amr::AmrDataset zeroed_levels(amr::AmrDataset skeleton) {
+  for (amr::AmrLevel& lv : skeleton.levels()) lv = zeroed_level(std::move(lv));
+  return skeleton;
 }
 
 std::optional<ByteReader> indexed_level_reader(

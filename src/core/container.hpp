@@ -237,8 +237,10 @@ class PayloadIndexBuilder {
     std::size_t n_payloads,
     lossless::CodecProfile profile = lossless::default_profile());
 
-/// The decoded outer header: a structurally complete dataset whose level
-/// data arrays are zero, ready for a method-specific payload to fill.
+/// The decoded outer header. `skeleton` is structure only: field name,
+/// refinement ratio and, per level, the unpacked mask (which carries the
+/// level's dims) with an empty `data` array. No data grid is allocated
+/// until a decoder materialises a level through zeroed_level.
 struct CommonHeader {
   Method method = Method::kTac;
   std::uint8_t version = kFormatVersion;
@@ -249,7 +251,22 @@ struct CommonHeader {
   std::size_t payload_offset = 0;  ///< first byte after header + index
 };
 
+/// Parses the outer header and payload index. Rejects a level whose
+/// declared dims overflow `size_t` or whose mask blob is shorter than
+/// those dims need (std::runtime_error) before allocating anything of the
+/// declared size.
 [[nodiscard]] CommonHeader read_common_header(ByteReader& r);
+
+/// The decode target for one level: `shape` (a structure-only level, such
+/// as a copy of `header.skeleton.level(l)`) with a zero-filled data grid
+/// of its mask's dims.
+[[nodiscard]] amr::AmrLevel zeroed_level(amr::AmrLevel shape);
+
+/// zeroed_level applied to every level of a skeleton — the dataset a
+/// CompressorBackend::decompress call fills. Pass
+/// `std::move(header.skeleton)` when the header is not needed again, so
+/// the masks are moved rather than copied.
+[[nodiscard]] amr::AmrDataset zeroed_levels(amr::AmrDataset skeleton);
 
 /// The codec profile declared for payload `i`, or nullopt when the
 /// container predates per-payload profiles (v1/v2) — callers then decode

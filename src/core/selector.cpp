@@ -293,7 +293,7 @@ class AutoBackend final : public CompressorBackend {
     auto r = indexed_level_reader(container, header, level);
     if (!r)  // index doesn't map to levels: corrupt/hand-rolled container
       return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = header.skeleton.level(level);
+    amr::AmrLevel lv = zeroed_level(header.skeleton.level(level));
     owner_of(header, level).decompress_level_payload(
         *r, lv, required_profile(header, level));
     return lv;

@@ -300,7 +300,7 @@ class TacBackend final : public CompressorBackend {
     auto r = indexed_level_reader(container, header, level);
     if (!r)  // v1 container (no index): fall back to the full decode.
       return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = header.skeleton.level(level);
+    amr::AmrLevel lv = zeroed_level(header.skeleton.level(level));
     decode_tac_level(*r, lv, payload_profile(header, level));
     return lv;
   }
@@ -347,7 +347,8 @@ amr::AmrDataset decompress_any(std::span<const std::uint8_t> bytes) {
   verify_payloads(bytes, h.index);
   // The header (still valid: only the skeleton is moved from) carries the
   // per-payload codec profiles the backend dispatches on.
-  return backend_for(h.method).decompress(r, std::move(h.skeleton), h);
+  return backend_for(h.method).decompress(
+      r, zeroed_levels(std::move(h.skeleton)), h);
 }
 
 amr::AmrLevel decompress_level(std::span<const std::uint8_t> bytes,

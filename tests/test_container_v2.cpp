@@ -20,7 +20,7 @@ namespace tac::core {
 namespace {
 
 constexpr Method kAllMethods[] = {Method::kTac, Method::kOneD, Method::kZMesh,
-                                  Method::kUpsample3D};
+                                  Method::kUpsample3D, Method::kAuto};
 
 amr::AmrDataset small_dataset(std::size_t n = 32,
                               std::vector<double> densities = {0.3, 0.7}) {
@@ -48,6 +48,18 @@ CommonHeader header_of(std::span<const std::uint8_t> bytes) {
   return read_common_header(r);
 }
 
+/// Partial decode must reproduce exactly the slice a full decode yields:
+/// same dims, same mask, byte-identical data (not approximately equal).
+void expect_same_level(const amr::AmrLevel& got, const amr::AmrLevel& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.dims(), want.dims()) << what;
+  ASSERT_EQ(got.data.size(), want.data.size()) << what;
+  EXPECT_TRUE(std::memcmp(got.data.span().data(), want.data.span().data(),
+                          got.data.size() * sizeof(double)) == 0)
+      << what;
+  EXPECT_TRUE(got.mask == want.mask) << what;
+}
+
 /// Rebuilds the v1 serialization of a v2 container: v1 is byte-identical
 /// except for the version byte and the absent payload index.
 std::vector<std::uint8_t> downgrade_to_v1(
@@ -68,7 +80,8 @@ TEST(ContainerV2, HeaderCarriesPayloadIndex) {
     const CommonHeader h = header_of(bytes);
     EXPECT_EQ(h.version, kFormatVersion);
     const std::size_t expected_payloads =
-        (m == Method::kTac || m == Method::kOneD) ? ds.num_levels() : 1u;
+        (m == Method::kZMesh || m == Method::kUpsample3D) ? 1u
+                                                          : ds.num_levels();
     ASSERT_EQ(h.index.entries.size(), expected_payloads) << to_string(m);
 
     // Entries tile the byte range [payload_offset, size) contiguously.
@@ -87,17 +100,28 @@ TEST(ContainerV2, DecompressLevelMatchesFullDecodeForEveryBackend) {
   for (const Method m : kAllMethods) {
     const auto bytes = compress_with(m, ds);
     const auto full = decompress_any(bytes);
+    for (std::size_t l = 0; l < ds.num_levels(); ++l)
+      expect_same_level(decompress_level(bytes, l), full.level(l),
+                        std::string(to_string(m)) + " level " +
+                            std::to_string(l));
+  }
+}
+
+TEST(ContainerV2, HeaderSkeletonIsStructureOnly) {
+  const auto ds = small_dataset(32, {0.1, 0.3, 0.6});
+  for (const Method m : kAllMethods) {
+    const auto bytes = compress_with(m, ds);
+    const CommonHeader h = header_of(bytes);
+    EXPECT_EQ(h.skeleton.field_name(), ds.field_name()) << to_string(m);
+    EXPECT_EQ(h.skeleton.refinement_ratio(), ds.refinement_ratio())
+        << to_string(m);
+    ASSERT_EQ(h.skeleton.num_levels(), ds.num_levels()) << to_string(m);
     for (std::size_t l = 0; l < ds.num_levels(); ++l) {
-      const amr::AmrLevel lv = decompress_level(bytes, l);
-      ASSERT_EQ(lv.dims().volume(), full.level(l).dims().volume())
-          << to_string(m) << " level " << l;
-      // Byte-identical, not approximately equal: partial decode must
-      // reproduce exactly the slice a full decode yields.
-      EXPECT_TRUE(std::memcmp(lv.data.span().data(),
-                              full.level(l).data.span().data(),
-                              lv.data.size() * sizeof(double)) == 0)
-          << to_string(m) << " level " << l;
-      EXPECT_TRUE(lv.mask == full.level(l).mask)
+      const amr::AmrLevel& lv = h.skeleton.level(l);
+      EXPECT_TRUE(lv.data.empty()) << to_string(m) << " level " << l;
+      EXPECT_EQ(lv.dims(), ds.level(l).dims()) << to_string(m) << " level "
+                                               << l;
+      EXPECT_TRUE(lv.mask == ds.level(l).mask)
           << to_string(m) << " level " << l;
     }
   }
@@ -180,6 +204,9 @@ TEST(ContainerV2, TruncationAtEveryIndexBoundaryThrows) {
 TEST(ContainerV2, V1ContainersStillDecode) {
   const auto ds = small_dataset(32, {0.1, 0.3, 0.6});
   for (const Method m : kAllMethods) {
+    // auto containers name each payload's backend in the v4 selector
+    // bytes, so they have no v1 form.
+    if (m == Method::kAuto) continue;
     const auto v2 = compress_with(m, ds);
     const auto v1 = downgrade_to_v1(v2);
     ASSERT_LT(v1.size(), v2.size());
@@ -202,13 +229,10 @@ TEST(ContainerV2, V1ContainersStillDecode) {
 
     // Partial decompression falls back to a full decode on v1 input but
     // still returns the right level.
-    for (std::size_t l = 0; l < from_v1.num_levels(); ++l) {
-      const amr::AmrLevel lv = decompress_level(v1, l);
-      EXPECT_TRUE(std::memcmp(lv.data.span().data(),
-                              from_v2.level(l).data.span().data(),
-                              lv.data.size() * sizeof(double)) == 0)
-          << to_string(m) << " v1 level " << l;
-    }
+    for (std::size_t l = 0; l < from_v1.num_levels(); ++l)
+      expect_same_level(decompress_level(v1, l), from_v1.level(l),
+                        std::string(to_string(m)) + " v1 level " +
+                            std::to_string(l));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <random>
 
 #include "core/adaptive.hpp"
+#include "core/backend.hpp"
 #include "core/baselines.hpp"
 #include "core/container.hpp"
 #include "core/tac.hpp"
@@ -34,6 +35,8 @@ std::vector<std::uint8_t> compress_with(core::Method method,
     case core::Method::kZMesh: return core::zmesh_compress(ds, scfg).bytes;
     case core::Method::kUpsample3D:
       return core::upsample3d_compress(ds, scfg).bytes;
+    case core::Method::kAuto:
+      return core::backend_for(core::Method::kAuto).compress(ds, tcfg).bytes;
   }
   return {};
 }
@@ -99,10 +102,55 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, TruncationTest,
                          ::testing::Values(core::Method::kTac,
                                            core::Method::kOneD,
                                            core::Method::kZMesh,
-                                           core::Method::kUpsample3D),
+                                           core::Method::kUpsample3D,
+                                           core::Method::kAuto),
                          [](const auto& info) {
                            return std::string(core::to_string(info.param));
                          });
+
+/// A container header declaring one level of dims `d` with `packed` as
+/// its (losslessly compressed) mask blob and an empty payload index.
+std::vector<std::uint8_t> forged_header(Dims3 d,
+                                        std::vector<std::uint8_t> packed) {
+  ByteWriter w;
+  w.put<std::uint32_t>(0x43434154);  // "TACC"
+  w.put<std::uint8_t>(core::kFormatVersion);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(core::Method::kTac));
+  w.put_string("forged");
+  w.put_varint(2);  // refinement ratio
+  w.put_varint(1);  // levels
+  w.put_varint(d.nx);
+  w.put_varint(d.ny);
+  w.put_varint(d.nz);
+  w.put_blob(lossless::compress(packed));
+  w.put_varint(0);  // payload index entries
+  return w.take();
+}
+
+core::CommonHeader parse_header(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  return core::read_common_header(r);
+}
+
+TEST(Robustness, HugeDeclaredDimsWithShortMaskRejectedBeforeAllocating) {
+  // 1024^3 cells would need 8 GiB of data and 1 GiB of mask; the 4-byte
+  // mask blob covers 32 cells. The mask-size check must fire first.
+  const auto bytes =
+      forged_header({1024, 1024, 1024}, {0xFF, 0xFF, 0xFF, 0xFF});
+  EXPECT_THROW((void)parse_header(bytes), std::runtime_error);
+  EXPECT_THROW((void)core::decompress_any(bytes), std::runtime_error);
+}
+
+TEST(Robustness, DeclaredDimsWhoseVolumeOverflowsRejected) {
+  // 2^32 * 2^32 * 1 wraps to a volume of 0, which an empty mask "covers".
+  const std::size_t big = std::size_t{1} << 32;
+  const auto bytes = forged_header({big, big, 1}, {});
+  EXPECT_THROW((void)parse_header(bytes), std::runtime_error);
+  EXPECT_THROW((void)core::decompress_any(bytes), std::runtime_error);
+  // The same check catches a wrap in the second multiplication.
+  EXPECT_THROW((void)parse_header(forged_header({1, big, big}, {})),
+               std::runtime_error);
+}
 
 TEST(Robustness, SzStreamTruncationSweep) {
   const Dims3 d{16, 16, 16};
