@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/bytes.hpp"
 #include "lossless/codec.hpp"
@@ -36,11 +37,11 @@ std::vector<std::uint8_t> pack_mask(std::span<const std::uint8_t> mask) {
   return out;
 }
 
-std::vector<std::uint8_t> unpack_mask(std::span<const std::uint8_t> packed,
-                                      std::size_t count) {
-  if (packed.size() < count / 8 + (count % 8 != 0 ? 1 : 0))
-    throw std::runtime_error("unpack_mask: truncated mask");
-  std::vector<std::uint8_t> out(count);
+void unpack_mask_into(std::span<const std::uint8_t> packed,
+                      std::span<std::uint8_t> out) {
+  const std::size_t count = out.size();
+  if (packed.size() < packed_mask_bytes(count))
+    throw std::runtime_error("unpack_mask_into: truncated mask");
   std::size_t i = 0;
   if constexpr (std::endian::native == std::endian::little) {
     // Spread one packed byte to eight 0/1 bytes: replicate it, isolate
@@ -55,7 +56,6 @@ std::vector<std::uint8_t> unpack_mask(std::span<const std::uint8_t> packed,
     }
   }
   for (; i < count; ++i) out[i] = (packed[i / 8] >> (i % 8)) & 1u;
-  return out;
 }
 
 std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds) {
@@ -90,6 +90,12 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
   const std::string name = r.get_string();
   const int ratio = static_cast<int>(r.get_varint());
   const std::size_t nlevels = static_cast<std::size_t>(r.get_varint());
+  // Each level is at least three dims varints and two blob lengths.
+  constexpr std::size_t kMinLevelBytes = 5;
+  if (nlevels > r.remaining() / kMinLevelBytes)
+    throw std::runtime_error("amr_io: " + std::to_string(nlevels) +
+                             " levels declared but only " +
+                             std::to_string(r.remaining()) + " bytes remain");
   std::vector<AmrLevel> levels;
   levels.reserve(nlevels);
   for (std::size_t l = 0; l < nlevels; ++l) {
@@ -97,10 +103,15 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
     d.nx = static_cast<std::size_t>(r.get_varint());
     d.ny = static_cast<std::size_t>(r.get_varint());
     d.nz = static_cast<std::size_t>(r.get_varint());
-    AmrLevel lv(d);
+    if (!d.volume_fits())
+      throw std::runtime_error("amr_io: level " + std::to_string(l) +
+                               " dims overflow");
     const auto packed = lossless::decompress(r.get_blob());
-    const auto mask = unpack_mask(packed, d.volume());
-    std::copy(mask.begin(), mask.end(), lv.mask.data());
+    if (packed.size() < packed_mask_bytes(d.volume()))
+      throw std::runtime_error("amr_io: level " + std::to_string(l) +
+                               " mask is shorter than its dims need");
+    AmrLevel lv(d);
+    unpack_mask_into(packed, lv.mask.span());
     const auto value_bytes = r.get_blob();
     if (value_bytes.size() % sizeof(double) != 0)
       throw std::runtime_error("amr_io: bad value payload");

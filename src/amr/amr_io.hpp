@@ -18,6 +18,10 @@
 namespace tac::amr {
 
 [[nodiscard]] std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds);
+/// Inverse of dataset_to_bytes. Throws std::runtime_error on a malformed
+/// snapshot; a level count the bytes cannot hold, dims whose volume
+/// overflows and a mask shorter than its dims are rejected before any
+/// allocation of the declared size.
 [[nodiscard]] AmrDataset dataset_from_bytes(
     std::span<const std::uint8_t> bytes);
 
@@ -27,8 +31,18 @@ void save_dataset(const std::string& path, const AmrDataset& ds);
 /// Bit-packs a 0/1 mask; helper shared with the compression container.
 [[nodiscard]] std::vector<std::uint8_t> pack_mask(
     std::span<const std::uint8_t> mask);
-[[nodiscard]] std::vector<std::uint8_t> unpack_mask(
-    std::span<const std::uint8_t> packed, std::size_t count);
+
+/// Inverse of pack_mask: unpacks `out.size()` mask cells straight into
+/// `out` (e.g. a level's mask grid). Throws std::runtime_error if `packed`
+/// is too short.
+void unpack_mask_into(std::span<const std::uint8_t> packed,
+                      std::span<std::uint8_t> out);
+
+/// Bytes a packed mask of `count` cells occupies. Readers compare a mask
+/// blob against this before allocating a grid of the declared dims.
+[[nodiscard]] constexpr std::size_t packed_mask_bytes(std::size_t count) {
+  return count / 8 + (count % 8 != 0 ? 1 : 0);
+}
 
 }  // namespace tac::amr
 

@@ -1,5 +1,6 @@
 #include "amr/dataset.hpp"
 
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,7 +28,9 @@ void AmrLevel::scatter_valid(std::span<const double> values) {
       if (vi >= values.size())
         throw std::invalid_argument("scatter_valid: too few values");
       data[i] = values[vi++];
-    } else {
+    } else if (std::bit_cast<std::uint64_t>(data[i]) != 0) {
+      // Only store where needed: a freshly allocated level reads as zero
+      // pages here, and an unconditional store would touch every page.
       data[i] = 0.0;
     }
   }

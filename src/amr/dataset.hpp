@@ -59,7 +59,8 @@ struct AmrLevel {
   std::size_t gather_valid_into(std::span<double> out) const;
 
   /// Scatters `values` (raster order over valid cells) back; empty cells
-  /// are reset to 0. Throws if the count does not match.
+  /// are reset to +0.0, stored only where a cell holds other bits. Throws
+  /// if the count does not match.
   void scatter_valid(std::span<const double> values);
 
   /// Min/max over valid cells; {0, 0} if none.

@@ -3,29 +3,91 @@
 
 /// \file array3d.hpp
 /// \brief Owning row-major 3D array with x as the fastest axis.
+///
+/// Storage comes from calloc, so a default-constructed `Array3D(dims)`
+/// arrives as lazily-zeroed memory: glibc hands a large grid back as fresh
+/// mmap pages it does not memset, and the kernel maps them on first touch.
+/// Allocating a full-domain AMR level is therefore O(1) in its volume; a
+/// decoder that writes only the cells its payload covers leaves the rest
+/// of the grid untouched zero pages, while any whole-grid pass (a fill, a
+/// mask sweep) touches every page.
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/dims.hpp"
 
 namespace tac {
+namespace detail {
+
+/// Allocator whose memory comes zero-filled from calloc. Value-initialising
+/// construction (`construct(p)`) default-initialises instead, so the zeros
+/// calloc produced are kept rather than written again; for a trivially
+/// default-constructible U it writes nothing at all, since calloc already
+/// created zero-valued objects there. That is only correct on fresh calloc
+/// memory: a vector using this allocator must never grow within its
+/// existing capacity (`resize`, `emplace_back`).
+template <class T>
+struct ZeroedAllocator {
+  using value_type = T;
+
+  ZeroedAllocator() = default;
+  template <class U>
+  ZeroedAllocator(const ZeroedAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    if (n > std::numeric_limits<std::size_t>::max() / sizeof(T))
+      throw std::bad_array_new_length();
+    void* p = std::calloc(n, sizeof(T));
+    if (p == nullptr && n != 0) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    if constexpr (!std::is_trivially_default_constructible_v<U>)
+      ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  friend bool operator==(const ZeroedAllocator&,
+                         const ZeroedAllocator&) = default;
+};
+
+}  // namespace detail
 
 /// Dense 3D array stored contiguously; index (x, y, z) maps to
 /// x + nx * (y + ny * z). Degenerates naturally to 2D/1D when trailing
 /// extents are 1.
 template <class T>
 class Array3D {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "Array3D relies on calloc'd storage being a valid T");
+
  public:
   Array3D() = default;
-  explicit Array3D(Dims3 dims, T fill = T{})
-      : dims_(dims), data_(dims.volume(), fill) {}
-  Array3D(Dims3 dims, std::vector<T> data)
-      : dims_(dims), data_(std::move(data)) {
-    assert(data_.size() == dims_.volume());
+  /// All-zero-bits cells, lazily zeroed (see the file comment).
+  explicit Array3D(Dims3 dims) : dims_(dims), data_(dims.volume()) {}
+  /// Every cell set to `fill`, kept bit-exactly (-0.0 and NaN payloads
+  /// included). An all-zero-bits fill costs no more than Array3D(dims).
+  explicit Array3D(Dims3 dims, const T& fill) : Array3D(dims) {
+    if (std::bit_cast<std::array<unsigned char, sizeof(T)>>(fill) !=
+        std::array<unsigned char, sizeof(T)>{})
+      std::fill(data_.begin(), data_.end(), fill);
   }
 
   [[nodiscard]] const Dims3& dims() const { return dims_; }
@@ -49,10 +111,7 @@ class Array3D {
   [[nodiscard]] std::span<const T> span() const { return data_; }
   [[nodiscard]] T* data() { return data_.data(); }
   [[nodiscard]] const T* data() const { return data_.data(); }
-  [[nodiscard]] std::vector<T>& storage() { return data_; }
-  [[nodiscard]] const std::vector<T>& storage() const { return data_; }
-
-  void fill(const T& v) { data_.assign(data_.size(), v); }
+  void fill(const T& v) { std::fill(data_.begin(), data_.end(), v); }
 
   /// Copies the half-open box `src_box` of this array into a new array of
   /// matching extents.
@@ -82,7 +141,7 @@ class Array3D {
 
  private:
   Dims3 dims_;
-  std::vector<T> data_;
+  std::vector<T, detail::ZeroedAllocator<T>> data_;
 };
 
 }  // namespace tac

@@ -19,6 +19,14 @@ struct Dims3 {
 
   [[nodiscard]] constexpr std::size_t volume() const { return nx * ny * nz; }
 
+  /// True when nx * ny * nz fits in size_t. Decoders check declared dims
+  /// with this before calling volume() or allocating.
+  [[nodiscard]] constexpr bool volume_fits() const {
+    constexpr std::size_t kMax = ~std::size_t{0};
+    return (ny == 0 || nx <= kMax / ny) &&
+           (nz == 0 || nx * ny <= kMax / nz);
+  }
+
   /// Number of axes with extent > 1, clamped to at least 1 for non-empty
   /// grids; used to select the predictor dimensionality.
   [[nodiscard]] constexpr int dimensionality() const {

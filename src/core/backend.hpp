@@ -15,7 +15,10 @@
 /// `write_common_header` with this backend's tag) followed by a payload
 /// only this backend can read; `decompress` receives the reader positioned
 /// at that payload plus the skeleton decoded from the header with every
-/// level's data allocated and zeroed, and must fill every level's data.
+/// level's data allocated as lazily-zeroed memory, and must fill every
+/// level's data. Invalid cells must read +0.0, which they already do, so
+/// a decoder should write only the cells its payload covers: a whole-grid
+/// pass touches every page and makes a sparse level cost its full volume.
 /// Backends must be stateless and thread-safe — the snapshot codec
 /// compresses fields concurrently through one shared instance.
 
@@ -51,8 +54,9 @@ class CompressorBackend {
                                                const TacConfig& cfg) const = 0;
 
   /// Decodes this backend's payload into the skeleton (structure decoded
-  /// from the common header, data arrays allocated and zeroed by
-  /// zeroed_levels) and returns the filled dataset. `r` is positioned
+  /// from the common header, data arrays allocated as lazily-zeroed memory
+  /// by zeroed_levels — write only the cells the payload covers) and
+  /// returns the filled dataset. `r` is positioned
   /// immediately after the common header (and, for v2+ containers, after
   /// the payload index). `header` supplies the payload index — in
   /// particular `payload_profile(header, i)`, the codec profile each
@@ -94,11 +98,11 @@ class CompressorBackend {
       const amr::AmrLevel& lv, std::size_t level, const TacConfig& cfg) const;
 
   /// Decodes one payload produced by compress_level_payload() into the
-  /// skeleton level `lv` (mask set, data allocated and zeroed by
-  /// zeroed_level). `r` spans exactly the
-  /// payload bytes; `profile` is the codec profile recorded in its index
-  /// entry. Only called when supports_level_payloads() is true; the
-  /// default throws.
+  /// skeleton level `lv` (mask set, data allocated as lazily-zeroed memory
+  /// by zeroed_level — write only the cells the payload covers). `r` spans
+  /// exactly the payload bytes; `profile` is the codec profile recorded in
+  /// its index entry. Only called when supports_level_payloads() is true;
+  /// the default throws.
   virtual void decompress_level_payload(ByteReader& r, amr::AmrLevel& lv,
                                         lossless::CodecProfile profile) const;
 };

@@ -1,5 +1,6 @@
 #include "core/baselines.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -309,7 +310,8 @@ class Upsample3DBackend final : public CompressorBackend {
     const Dims3 fd = skeleton.finest_dims();
     if (flat.size() != fd.volume())
       throw std::runtime_error("3D baseline: payload size mismatch");
-    const Array3D<double> uniform(fd, std::vector<double>(flat));
+    Array3D<double> uniform(fd);
+    std::copy(flat.begin(), flat.end(), uniform.data());
     amr::distribute_uniform(uniform, skeleton);
     return skeleton;
   }

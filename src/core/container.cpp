@@ -1,7 +1,6 @@
 #include "core/container.hpp"
 
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -158,6 +157,13 @@ CommonHeader read_common_header(ByteReader& r) {
   const std::string field = r.get_string();
   const int ratio = static_cast<int>(r.get_varint());
   const std::size_t nlevels = static_cast<std::size_t>(r.get_varint());
+  // Each level is at least three dims varints and a mask blob length.
+  constexpr std::size_t kMinLevelBytes = 4;
+  if (nlevels > r.remaining() / kMinLevelBytes)
+    throw std::runtime_error(
+        "container: header declares " + std::to_string(nlevels) +
+        " levels but only " + std::to_string(r.remaining()) +
+        " bytes remain");
   std::vector<amr::AmrLevel> levels;
   levels.reserve(nlevels);
   for (std::size_t l = 0; l < nlevels; ++l) {
@@ -165,18 +171,22 @@ CommonHeader read_common_header(ByteReader& r) {
     d.nx = static_cast<std::size_t>(r.get_varint());
     d.ny = static_cast<std::size_t>(r.get_varint());
     d.nz = static_cast<std::size_t>(r.get_varint());
-    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-    if ((d.ny != 0 && d.nx > kMax / d.ny) ||
-        (d.nz != 0 && d.nx * d.ny > kMax / d.nz))
+    if (!d.volume_fits())
       throw std::runtime_error(
           "container: level " + std::to_string(l) + " declares dims " +
           std::to_string(d.nx) + "x" + std::to_string(d.ny) + "x" +
           std::to_string(d.nz) + " whose volume overflows");
+    const auto packed = lossless::decompress(r.get_blob());
+    if (packed.size() < amr::packed_mask_bytes(d.volume()))
+      throw std::runtime_error(
+          "container: level " + std::to_string(l) + " mask blob holds " +
+          std::to_string(packed.size()) + " bytes, its dims need " +
+          std::to_string(amr::packed_mask_bytes(d.volume())));
     // Structure only: the mask is the level's shape and `data` stays
     // empty until a decoder materialises the level (zeroed_level).
     amr::AmrLevel lv;
-    const auto packed = lossless::decompress(r.get_blob());
-    lv.mask = Array3D<std::uint8_t>(d, amr::unpack_mask(packed, d.volume()));
+    lv.mask = Array3D<std::uint8_t>(d);
+    amr::unpack_mask_into(packed, lv.mask.span());
     levels.push_back(std::move(lv));
   }
   h.skeleton = amr::AmrDataset(field, std::move(levels), ratio);

@@ -251,15 +251,17 @@ struct CommonHeader {
   std::size_t payload_offset = 0;  ///< first byte after header + index
 };
 
-/// Parses the outer header and payload index. Rejects a level whose
-/// declared dims overflow `size_t` or whose mask blob is shorter than
-/// those dims need (std::runtime_error) before allocating anything of the
-/// declared size.
+/// Parses the outer header and payload index. Rejects a level count the
+/// remaining bytes cannot hold, and a level whose declared dims overflow
+/// `size_t` or whose mask blob is shorter than those dims need
+/// (std::runtime_error), before allocating anything of the declared size.
 [[nodiscard]] CommonHeader read_common_header(ByteReader& r);
 
 /// The decode target for one level: `shape` (a structure-only level, such
-/// as a copy of `header.skeleton.level(l)`) with a zero-filled data grid
-/// of its mask's dims.
+/// as a copy of `header.skeleton.level(l)`) with a data grid of its mask's
+/// dims. The grid is lazily-zeroed memory (see common/array3d.hpp): it
+/// reads +0.0 everywhere but costs no page touches until a decoder writes,
+/// so a decoder should write only the cells its payload covers.
 [[nodiscard]] amr::AmrLevel zeroed_level(amr::AmrLevel shape);
 
 /// zeroed_level applied to every level of a skeleton — the dataset a

@@ -248,7 +248,8 @@ void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
           if (cy + y >= cells.ny) continue;
           for (std::size_t x = 0; x < bd.nx; ++x) {
             if (cx + x >= cells.nx) continue;
-            level.data(cx + x, cy + y, cz + z) = src[bd.index(x, y, z)];
+            const std::size_t i = cells.index(cx + x, cy + y, cz + z);
+            level.data[i] = level.mask[i] ? src[bd.index(x, y, z)] : 0.0;
           }
         }
       }

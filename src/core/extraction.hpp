@@ -60,9 +60,11 @@ struct BlockGroup {
     const amr::AmrLevel& level, const BlockGrid& grid,
     const std::vector<SubBlock>& sub_blocks, ArenaScope& scratch);
 
-/// Scatters decompressed group buffers back into the level's data array.
-/// Cells past the level boundary are skipped; invalid cells are zeroed
-/// afterwards by the caller via the mask.
+/// Scatters decompressed group buffers back into the level's data array,
+/// applying the mask as it goes: a covered cell gets its decoded value if
+/// valid and +0.0 if not. Cells past the level boundary are skipped, and
+/// cells outside every sub-block are never touched — on a freshly
+/// allocated level they stay untouched zero pages.
 void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
                     const std::vector<BlockGroup>& groups);
 

@@ -92,18 +92,14 @@ DecodedGroups deserialize_groups(
   return out;
 }
 
-/// Zeroes every invalid cell — padded or residual values inside extracted
-/// blocks must not leak into the reconstructed level.
-void apply_mask(amr::AmrLevel& lv) {
-  for (std::size_t i = 0; i < lv.data.size(); ++i)
-    if (!lv.mask[i]) lv.data[i] = 0.0;
-}
-
 /// Decodes one level's payload (strategy tag, block size, streams) into
-/// `lv`, whose mask is already filled from the header. Shared by the full
-/// decode and the indexed single-level path. `expected` is the codec
-/// profile the container's index declares for this payload (nullopt for
-/// pre-v3 containers → lenient decode).
+/// `lv`, whose mask is already filled from the header and whose data is
+/// zeroed. Shared by the full decode and the indexed single-level path.
+/// Invalid cells come out +0.0 — padded or residual values inside the
+/// decoded blocks must not leak into the level — and only the cells the
+/// payload covers are written. `expected` is the codec profile the
+/// container's index declares for this payload (nullopt for pre-v3
+/// containers → lenient decode).
 void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
                       std::optional<lossless::CodecProfile> expected) {
   TAC_SPAN("tac.level_decode");
@@ -123,16 +119,16 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
     case Strategy::kGSP:
     case Strategy::kZF: {
       const auto stream = r.get_blob();
-      auto grid_data = sz::decompress<double>(stream, expected);
-      if (grid_data.size() != lv.dims().volume())
+      const auto grid_data = sz::decompress<double>(stream, expected);
+      if (grid_data.size() != lv.data.size())
         throw std::runtime_error("tac: level payload size mismatch");
-      lv.data = Array3D<double>(lv.dims(), std::move(grid_data));
+      for (std::size_t i = 0; i < grid_data.size(); ++i)
+        lv.data[i] = lv.mask[i] ? grid_data[i] : 0.0;
       break;
     }
     default:
       throw std::runtime_error("tac: unknown strategy tag");
   }
-  apply_mask(lv);
 }
 
 /// Encodes one level standalone (strategy tag, block size, streams) —

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <limits>
 #include <random>
 
 #include "amr/amr_io.hpp"
@@ -38,6 +40,61 @@ AmrDataset make_two_level(Dims3 fine_dims, Box3 refined_coarse,
   return AmrDataset("test_field", {std::move(fine), std::move(coarse)});
 }
 
+/// True iff every cell of `a` holds exactly the bits of `v`.
+bool all_bits(const Array3D<double>& a, double v) {
+  const auto want = std::bit_cast<std::uint64_t>(v);
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != want) return false;
+  return true;
+}
+
+TEST(Array3D, DefaultConstructedCellsAreZeroBits) {
+  // Small grids come from the heap, >= 64 MiB ones from fresh mmap pages.
+  // Each size is allocated, dirtied and freed first, so the second
+  // allocation can reuse the memory and still has to read as +0.0.
+  for (const Dims3 d : {Dims3{5, 3, 2}, Dims3{64, 64, 64},
+                        Dims3{256, 256, 128}}) {
+    { Array3D<double> dirty(d, 1.5); }
+    const Array3D<double> a(d);
+    EXPECT_EQ(a.size(), d.volume());
+    EXPECT_TRUE(all_bits(a, 0.0)) << d;
+  }
+}
+
+TEST(Array3D, ExplicitFillsAreBitExact) {
+  const Dims3 d{7, 5, 3};
+  EXPECT_TRUE(all_bits(Array3D<double>(d, -0.0), -0.0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(all_bits(Array3D<double>(d, nan), nan));
+  EXPECT_TRUE(all_bits(Array3D<double>(d, 0.0), 0.0));
+  EXPECT_TRUE(all_bits(Array3D<double>(d, 2.5), 2.5));
+  const Array3D<std::uint8_t> ones(d, 1);
+  for (std::size_t i = 0; i < ones.size(); ++i) ASSERT_EQ(ones[i], 1);
+}
+
+TEST(Array3D, CopyMoveAndEqualityKeepValues) {
+  Array3D<double> a({4, 3, 2});
+  for (std::size_t i = 0; i < a.size(); ++i)
+    a[i] = 0.5 * static_cast<double>(i);
+  Array3D<double> copy = a;
+  EXPECT_EQ(copy, a);
+  EXPECT_NE(copy.data(), a.data());
+  copy(1, 1, 1) = -7.0;
+  EXPECT_NE(copy, a);
+  EXPECT_EQ(a(1, 1, 1), 0.5 * static_cast<double>(a.dims().index(1, 1, 1)));
+
+  const double* storage = a.data();
+  Array3D<double> moved = std::move(a);
+  EXPECT_EQ(moved.data(), storage);
+  EXPECT_EQ(moved.dims(), (Dims3{4, 3, 2}));
+
+  copy = moved;  // copy-assign over an existing array
+  EXPECT_EQ(copy, moved);
+  // Same values under different dims are different arrays.
+  EXPECT_NE(Array3D<double>({2, 3, 4}), Array3D<double>({4, 3, 2}));
+  EXPECT_EQ(Array3D<double>({2, 3, 4}), Array3D<double>({2, 3, 4}, 0.0));
+}
+
 TEST(AmrLevel, DensityCountsValidCells) {
   AmrLevel lv({4, 4, 4});
   EXPECT_EQ(lv.valid_count(), 0u);
@@ -61,6 +118,20 @@ TEST(AmrLevel, GatherScatterRoundTrip) {
   lv2.mask = lv.mask;
   lv2.scatter_valid(values);
   EXPECT_EQ(lv2.data, lv.data);
+}
+
+TEST(AmrLevel, ScatterResetsInvalidCellsToPositiveZero) {
+  AmrLevel lv({3, 2, 1});
+  lv.mask[1] = 1;
+  lv.mask[4] = 1;
+  lv.data[0] = -0.0;
+  lv.data[2] = std::numeric_limits<double>::quiet_NaN();
+  lv.data[3] = 9.0;
+  lv.scatter_valid(std::vector<double>{1.0, 2.0});
+  EXPECT_EQ(lv.data[1], 1.0);
+  EXPECT_EQ(lv.data[4], 2.0);
+  for (const std::size_t i : {0u, 2u, 3u, 5u})
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lv.data[i]), 0u) << i;
 }
 
 TEST(AmrLevel, ScatterRejectsWrongCount) {
@@ -195,8 +266,17 @@ TEST(MaskPack, RoundTripOddSizes) {
     for (auto& m : mask) m = rng() % 2;
     const auto packed = pack_mask(mask);
     EXPECT_EQ(packed.size(), (n + 7) / 8);
-    EXPECT_EQ(unpack_mask(packed, n), mask);
+    EXPECT_EQ(packed_mask_bytes(n), packed.size());
+    std::vector<std::uint8_t> back(n, 7);
+    unpack_mask_into(packed, back);
+    EXPECT_EQ(back, mask);
   }
+}
+
+TEST(MaskPack, UnpackRejectsShortInput) {
+  std::vector<std::uint8_t> out(17);
+  EXPECT_THROW(unpack_mask_into(std::vector<std::uint8_t>(2), out),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
 
 #include "core/block_grid.hpp"
@@ -247,6 +248,48 @@ TEST(GatherScatter, ClippedEdgeBlocksRoundTrip) {
     scatter_groups(out, grid, groups);
     EXPECT_EQ(out.data, lv.data);
   }
+}
+
+TEST(GatherScatter, WritesOnlyInsideSubBlocksAndMasksThem) {
+  // Valid cells are every other cell of one 8^3 corner; the rest of the
+  // 16^3 level is outside every sub-block.
+  amr::AmrLevel lv({16, 16, 16});
+  for (std::size_t z = 0; z < 8; ++z)
+    for (std::size_t y = 0; y < 8; ++y)
+      for (std::size_t x = 0; x < 8; ++x)
+        if ((x + y + z) % 2 == 0) {
+          lv.mask(x, y, z) = 1;
+          lv.data(x, y, z) = 1.0 + static_cast<double>(x + y + z);
+        }
+  const BlockGrid grid(lv.dims(), 4);
+  const auto occ = block_occupancy(lv, grid);
+  const auto subs = opst_extract(occ);
+  tac::ArenaScope scratch;
+  auto groups = gather_groups(lv, grid, subs, scratch);
+  // Stand-in for lossy padding: invalid cells inside the decoded blocks
+  // come back nonzero and must not reach the level.
+  for (auto& g : groups)
+    for (double& v : g.buffer)
+      if (v == 0.0) v = 42.0;
+
+  const double sentinel = -3.25;
+  amr::AmrLevel out;
+  out.mask = lv.mask;
+  out.data = Array3D<double>(lv.dims(), sentinel);
+  scatter_groups(out, grid, groups);
+  for (std::size_t z = 0; z < 16; ++z)
+    for (std::size_t y = 0; y < 16; ++y)
+      for (std::size_t x = 0; x < 16; ++x) {
+        const bool inside = x < 8 && y < 8 && z < 8;
+        const double got = out.data(x, y, z);
+        if (!inside)
+          ASSERT_EQ(got, sentinel) << x << "," << y << "," << z;
+        else if (lv.mask(x, y, z))
+          ASSERT_EQ(got, lv.data(x, y, z)) << x << "," << y << "," << z;
+        else
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got), 0u)
+              << x << "," << y << "," << z;
+      }
 }
 
 TEST(GatherScatter, GroupsMergeEqualExtents) {

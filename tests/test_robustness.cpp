@@ -2,11 +2,13 @@
 
 #include <random>
 
+#include "amr/amr_io.hpp"
 #include "core/adaptive.hpp"
 #include "core/backend.hpp"
 #include "core/baselines.hpp"
 #include "core/container.hpp"
 #include "core/tac.hpp"
+#include "lossless/codec.hpp"
 #include "simnyx/generator.hpp"
 #include "sz/sz.hpp"
 
@@ -127,6 +129,24 @@ std::vector<std::uint8_t> forged_header(Dims3 d,
   return w.take();
 }
 
+/// An amr_io snapshot declaring `nlevels` levels, the first of dims `d`
+/// with `packed` as its mask and no values.
+std::vector<std::uint8_t> forged_amr(Dims3 d, std::vector<std::uint8_t> packed,
+                                     std::uint64_t nlevels = 1) {
+  ByteWriter w;
+  w.put<std::uint32_t>(0x524D4154);  // "TAMR"
+  w.put<std::uint8_t>(1);            // amr_io version
+  w.put_string("forged");
+  w.put_varint(2);  // refinement ratio
+  w.put_varint(nlevels);
+  w.put_varint(d.nx);
+  w.put_varint(d.ny);
+  w.put_varint(d.nz);
+  w.put_blob(lossless::compress(packed));
+  w.put_blob({});  // values
+  return w.take();
+}
+
 core::CommonHeader parse_header(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   return core::read_common_header(r);
@@ -150,6 +170,44 @@ TEST(Robustness, DeclaredDimsWhoseVolumeOverflowsRejected) {
   // The same check catches a wrap in the second multiplication.
   EXPECT_THROW((void)parse_header(forged_header({1, big, big}, {})),
                std::runtime_error);
+}
+
+TEST(Robustness, ForgedLevelCountRejectedBeforeReserving) {
+  // 2^40 levels would reserve ~88 TB of AmrLevel slots; each level needs
+  // at least four header bytes, so the count is checked against what
+  // remains. std::bad_alloc is not a std::runtime_error.
+  constexpr std::uint64_t kLevels = std::uint64_t{1} << 40;
+  ByteWriter w;
+  w.put<std::uint32_t>(0x43434154);  // "TACC"
+  w.put<std::uint8_t>(core::kFormatVersion);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(core::Method::kTac));
+  w.put_string("forged");
+  w.put_varint(2);
+  w.put_varint(kLevels);
+  w.put_varint(0);
+  const auto container = w.take();
+  EXPECT_THROW((void)parse_header(container), std::runtime_error);
+  EXPECT_THROW((void)core::decompress_any(container), std::runtime_error);
+
+  EXPECT_THROW((void)amr::dataset_from_bytes(forged_amr({}, {}, kLevels)),
+               std::runtime_error);
+}
+
+TEST(Robustness, AmrIoDimsWhoseVolumeOverflowsRejected) {
+  const std::size_t big = std::size_t{1} << 32;
+  EXPECT_THROW((void)amr::dataset_from_bytes(forged_amr({big, big, 1}, {})),
+               std::runtime_error);
+  EXPECT_THROW((void)amr::dataset_from_bytes(forged_amr({1, big, big}, {})),
+               std::runtime_error);
+}
+
+TEST(Robustness, AmrIoShortMaskRejectedBeforeAllocating) {
+  // 2^50 cells: allocating the level first would throw std::bad_alloc.
+  const Dims3 huge{std::size_t{1} << 20, std::size_t{1} << 20,
+                   std::size_t{1} << 10};
+  EXPECT_THROW(
+      (void)amr::dataset_from_bytes(forged_amr(huge, {0xFF, 0xFF, 0xFF})),
+      std::runtime_error);
 }
 
 TEST(Robustness, SzStreamTruncationSweep) {

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
+#include <utility>
 
 #include "analysis/metrics.hpp"
 #include "core/adaptive.hpp"
+#include "core/backend.hpp"
 #include "core/baselines.hpp"
 #include "core/tac.hpp"
 #include "simnyx/generator.hpp"
@@ -225,6 +232,80 @@ TEST(Adaptive, RatioBoundsLadder) {
   EXPECT_DOUBLE_EQ(bounds[1], 3e6);
   EXPECT_DOUBLE_EQ(bounds[2], 1e6);
   EXPECT_THROW((void)ratio_error_bounds(0.0, 2.0, 2), std::invalid_argument);
+}
+
+/// Two levels built to stress the decode invariant: a 128^3 level with
+/// only a handful of valid cells, and a 64^3 level whose valid cells are
+/// a random half of one box, so the unit blocks the box touches (and the
+/// sub-blocks extracted from them) mix valid and invalid cells.
+amr::AmrDataset invariant_dataset() {
+  std::mt19937 rng(77);
+  std::uniform_real_distribution<double> u(1.0, 2.0);
+  amr::AmrLevel sparse({128, 128, 128});
+  for (const auto& [x, y, z] :
+       {std::array<std::size_t, 3>{0, 0, 0}, {1, 0, 0}, {127, 127, 127},
+        {64, 3, 90}, {65, 3, 90}, {17, 100, 40}, {18, 101, 41}}) {
+    sparse.mask(x, y, z) = 1;
+    sparse.data(x, y, z) = u(rng);
+  }
+  amr::AmrLevel partial({64, 64, 64});
+  for (std::size_t z = 5; z < 29; ++z)
+    for (std::size_t y = 3; y < 27; ++y)
+      for (std::size_t x = 6; x < 30; ++x)
+        if (rng() % 2) {
+          partial.mask(x, y, z) = 1;
+          partial.data(x, y, z) = u(rng);
+        }
+  return amr::AmrDataset("invariant",
+                         {std::move(sparse), std::move(partial)});
+}
+
+bool same_bits(const Array3D<double>& a, const Array3D<double>& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DecodeInvariant, InvalidCellsArePositiveZeroAndLevelReadsMatch) {
+  const auto ds = invariant_dataset();
+  const double eb = 1e-3;
+  TacConfig cfg;
+  cfg.sz.mode = sz::ErrorBoundMode::kAbsolute;
+  cfg.sz.error_bound = eb;
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> containers;
+  for (const Strategy s : {Strategy::kNaST, Strategy::kOpST,
+                           Strategy::kAKDTree, Strategy::kGSP, Strategy::kZF}) {
+    cfg.force_strategy = s;
+    containers.emplace_back(to_string(s), tac_compress(ds, cfg).bytes);
+  }
+  cfg.force_strategy.reset();
+  containers.emplace_back("1D", oned_compress(ds, cfg.sz).bytes);
+  containers.emplace_back(
+      "auto", backend_for(Method::kAuto).compress(ds, cfg).bytes);
+
+  for (const auto& [name, bytes] : containers) {
+    SCOPED_TRACE(name);
+    const auto full = decompress_any(bytes);
+    ASSERT_EQ(full.num_levels(), ds.num_levels());
+    for (std::size_t l = 0; l < ds.num_levels(); ++l) {
+      const auto& ol = ds.level(l);
+      const auto& rl = full.level(l);
+      ASSERT_EQ(rl.mask, ol.mask) << "level " << l;
+      std::size_t not_zero = 0;
+      double max_err = 0;
+      for (std::size_t i = 0; i < ol.data.size(); ++i) {
+        if (ol.mask[i])
+          max_err = std::max(max_err, std::fabs(ol.data[i] - rl.data[i]));
+        else if (std::bit_cast<std::uint64_t>(rl.data[i]) != 0)
+          ++not_zero;
+      }
+      EXPECT_EQ(not_zero, 0u) << "invalid cells not +0.0 at level " << l;
+      EXPECT_LE(max_err, eb) << "level " << l;
+
+      const auto one = decompress_level(bytes, l);
+      EXPECT_EQ(one.mask, rl.mask) << "level " << l;
+      EXPECT_TRUE(same_bits(one.data, rl.data)) << "level " << l;
+    }
+  }
 }
 
 TEST(Container, MethodSniffing) {
