@@ -5,19 +5,19 @@
 ///
 /// The backend is a lossless "passthrough" — each level's valid cells
 /// stored as raw doubles — chosen so the example stays about the
-/// CompressorBackend/PayloadIndexBuilder protocol, not about coding
-/// theory. The class between the snippet markers below is embedded
-/// verbatim in docs/BACKENDS.md; scripts/check_docs.py fails CI when the
-/// two copies drift apart.
+/// CompressorBackend per-level hooks, not about coding theory. The class
+/// between the snippet markers below is embedded verbatim in
+/// docs/BACKENDS.md; scripts/check_docs.py fails CI when the two copies
+/// drift apart.
 
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "amr/dataset.hpp"
 #include "core/backend.hpp"
-#include "core/container.hpp"
 #include "core/tac.hpp"
 
 namespace {
@@ -26,8 +26,9 @@ using namespace tac;
 
 // [backends-guide:passthrough]
 /// A lossless do-nothing backend: every level's valid cells stored as raw
-/// little-endian doubles. Real backends replace the payload body; the
-/// header/index protocol shown here is the part they all share.
+/// little-endian doubles. It implements only the per-level hooks; the
+/// inherited level pipeline writes the container header, one payload per
+/// level and the payload index, and dispatches decoding back here.
 class PassthroughBackend final : public core::CompressorBackend {
  public:
   /// Any tag without a registered backend works (5..254; 0..4 are the
@@ -37,41 +38,29 @@ class PassthroughBackend final : public core::CompressorBackend {
 
   [[nodiscard]] core::Method method() const override { return kTag; }
   [[nodiscard]] const char* name() const override { return "passthrough"; }
+  [[nodiscard]] bool supports_level_payloads() const override { return true; }
 
-  [[nodiscard]] core::CompressedAmr compress(
-      const amr::AmrDataset& ds, const core::TacConfig&) const override {
+  /// One level in, one payload out. A lossy backend would encode under
+  /// core::resolve_level_config(cfg, level, lv).
+  [[nodiscard]] core::LevelPayload compress_level_payload(
+      const amr::AmrLevel& lv, std::size_t /*level*/,
+      const core::TacConfig& /*cfg*/) const override {
+    const std::vector<double> values = lv.gather_valid();
     ByteWriter w;
-    // One payload per level: index entry i then maps to level i, which is
-    // what gives decompress_level O(level) random access.
-    auto index = core::write_common_header(w, method(), ds, ds.num_levels());
-    for (std::size_t l = 0; l < ds.num_levels(); ++l) {
-      index.begin_payload();
-      const std::vector<double> values = ds.level(l).gather_valid();
-      w.put_varint(values.size());
-      for (const double v : values) w.put(v);
-      index.end_payload();  // patches {offset, length, crc32, profile, tag}
-    }
-    index.finish();  // throws if any reserved entry was left unsealed
-    core::CompressedAmr out;
+    w.put_varint(values.size());
+    for (const double v : values) w.put(v);
+    core::LevelPayload out;
     out.bytes = w.take();
-    out.report.method = method();
-    out.report.original_bytes = ds.original_bytes();
+    out.report.valid_cells = values.size();
     out.report.compressed_bytes = out.bytes.size();
     return out;
   }
 
-  [[nodiscard]] amr::AmrDataset decompress(
-      ByteReader& r, amr::AmrDataset skeleton,
-      const core::CommonHeader&) const override {
-    // `skeleton` arrives with dims + masks decoded from the common header
-    // and data zeroed; `r` is positioned at this backend's first payload.
-    for (std::size_t l = 0; l < skeleton.num_levels(); ++l)
-      decode_level(r, skeleton.level(l));
-    return skeleton;
-  }
-
- private:
-  static void decode_level(ByteReader& r, amr::AmrLevel& lv) {
+  /// `r` is positioned at this level's payload; `lv` arrives with the
+  /// mask decoded from the container header and every cell reading +0.0.
+  void decompress_level_payload(
+      ByteReader& r, amr::AmrLevel& lv,
+      std::optional<lossless::CodecProfile> /*profile*/) const override {
     std::vector<double> values(static_cast<std::size_t>(r.get_varint()));
     for (double& v : values) v = r.get<double>();
     lv.scatter_valid(values);
@@ -135,9 +124,8 @@ int main() {
     }
   }
 
-  // Partial decompression works too: the base decompress_level fallback
-  // is correct for any backend (per-level backends can override it with
-  // an O(level) indexed read — see docs/BACKENDS.md).
+  // Partial decompression works too: one payload per level means the
+  // pipeline checksums and decodes only level 1's payload.
   const amr::AmrLevel coarse = core::decompress_level(compressed.bytes, 1);
   if (!levels_identical(ds.level(1), coarse)) {
     std::fprintf(stderr, "FAIL: decompress_level(1) not bit-identical\n");

@@ -6,7 +6,6 @@
 
 #include "amr/uniform.hpp"
 #include "common/arena.hpp"
-#include "common/parallel.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
 #include "core/backend.hpp"
@@ -60,95 +59,22 @@ void zmesh_traverse(const amr::AmrDataset& ds, auto&& emit) {
         visit_zmesh(ds, coarsest, x, y, z, emit);
 }
 
+/// Each level's valid cells as one 1D stream, encoded under the level's
+/// own bound so the encoding never depends on sibling levels.
 class OneDBackend final : public CompressorBackend {
  public:
   [[nodiscard]] Method method() const override { return Method::kOneD; }
   [[nodiscard]] const char* name() const override { return "1D"; }
-
-  [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
-                                       const TacConfig& cfg) const override {
-    TAC_SPAN("oned.compress");
-    Timer total;
-    CompressReport report;
-    report.method = Method::kOneD;
-    report.original_bytes = ds.original_bytes();
-
-    // Per-level 1D streams are independent — run them through the same
-    // level pipeline as TAC and serialize in level order.
-    std::vector<LevelPayload> levels(ds.num_levels());
-    parallel_for(
-        0, ds.num_levels(),
-        [&](std::size_t l) { levels[l] = encode_level(ds.level(l), cfg); },
-        /*grain=*/1);
-
-    ByteWriter w;
-    PayloadIndexBuilder index = write_common_header(
-        w, Method::kOneD, ds, ds.num_levels(), cfg.sz.profile);
-    for (auto& lvl : levels) {
-      index.begin_payload();
-      w.put_bytes(lvl.bytes);
-      index.end_payload();
-      report.levels.push_back(lvl.report);
-    }
-    index.finish();
-
-    CompressedAmr out;
-    out.bytes = w.take();
-    report.compressed_bytes = out.bytes.size();
-    report.seconds = total.seconds();
-    out.report = std::move(report);
-    return out;
-  }
-
-  [[nodiscard]] amr::AmrDataset decompress(
-      ByteReader& r, amr::AmrDataset skeleton,
-      const CommonHeader& header) const override {
-    TAC_SPAN("oned.decompress");
-    for (std::size_t l = 0; l < skeleton.num_levels(); ++l)
-      decode_level(r, skeleton.level(l), payload_profile(header, l));
-    return skeleton;
-  }
-
-  /// Native partial decompression: one blob per level, one index entry
-  /// per blob, so a single level costs one checksum + one sz decode.
-  [[nodiscard]] amr::AmrLevel decompress_level(
-      std::span<const std::uint8_t> container, const CommonHeader& header,
-      std::size_t level) const override {
-    auto r = indexed_level_reader(container, header, level);
-    if (!r)  // v1 container (no index): fall back to the full decode.
-      return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = zeroed_level(header.skeleton.level(level));
-    decode_level(*r, lv, payload_profile(header, level));
-    return lv;
-  }
-
   [[nodiscard]] bool supports_level_payloads() const override { return true; }
 
   [[nodiscard]] LevelPayload compress_level_payload(
-      const amr::AmrLevel& lv, std::size_t /*level*/,
+      const amr::AmrLevel& lv, std::size_t level,
       const TacConfig& cfg) const override {
-    return encode_level(lv, cfg);
-  }
-
-  void decompress_level_payload(
-      ByteReader& r, amr::AmrLevel& lv,
-      lossless::CodecProfile profile) const override {
-    decode_level(r, lv, profile);
-  }
-
- private:
-  /// Encodes one level standalone: the blob written between
-  /// begin_payload()/end_payload() by compress(), plus diagnostics. The
-  /// 1D bound resolves against this level's own valid range, so the
-  /// encoding never depends on sibling levels.
-  static LevelPayload encode_level(const amr::AmrLevel& lv,
-                                   const TacConfig& cfg) {
     TAC_SPAN("oned.level_encode");
     LevelPayload out;
     out.report.method = Method::kOneD;
     out.report.valid_cells = lv.valid_count();
-    const auto [lo, hi] = lv.valid_range();
-    const sz::SzConfig level_cfg = sz::resolve_range_bound(cfg.sz, lo, hi);
+    const sz::SzConfig level_cfg = resolve_level_config(cfg, level, lv);
 
     Timer comp;
     // Arena-backed gather: the 1D stream is built and compressed before
@@ -172,8 +98,9 @@ class OneDBackend final : public CompressorBackend {
     return out;
   }
 
-  static void decode_level(ByteReader& r, amr::AmrLevel& lv,
-                           std::optional<lossless::CodecProfile> expected) {
+  void decompress_level_payload(
+      ByteReader& r, amr::AmrLevel& lv,
+      std::optional<lossless::CodecProfile> expected) const override {
     TAC_SPAN("oned.level_decode");
     const auto stream = r.get_blob();
     if (stream.empty()) {

@@ -291,20 +291,4 @@ amr::AmrDataset zeroed_levels(amr::AmrDataset skeleton) {
   return skeleton;
 }
 
-std::optional<ByteReader> indexed_level_reader(
-    std::span<const std::uint8_t> container, const CommonHeader& header,
-    std::size_t level) {
-  if (header.index.entries.size() != header.skeleton.num_levels())
-    return std::nullopt;
-  if (level >= header.skeleton.num_levels())
-    throw std::out_of_range(
-        "decompress_level: level " + std::to_string(level) +
-        " out of range (container has " +
-        std::to_string(header.skeleton.num_levels()) + " levels)");
-  verify_payload(container, header.index, level);
-  const PayloadEntry& e = header.index.entries[level];
-  return ByteReader(container.subspan(static_cast<std::size_t>(e.offset),
-                                      static_cast<std::size_t>(e.length)));
-}
-
 }  // namespace tac::core

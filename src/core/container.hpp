@@ -31,8 +31,9 @@
 /// Format v4 widens each index entry by a selector byte: the Method tag
 /// of the backend that produced that payload. Fixed backends stamp their
 /// own tag; the `auto` pseudo-backend (core/selector.hpp) records the
-/// per-level winner its trial selection picked, and its decoder
-/// dispatches each payload to the recorded backend. v1-v3 containers
+/// per-level winner its trial selection picked, and the level pipeline's
+/// decoder (core/backend.hpp) dispatches each payload to the recorded
+/// backend. v1-v3 containers
 /// carry no selector and decode leniently as "fixed method" (the header
 /// method tag owns every payload). The byte-level layout of every
 /// version is specified normatively in docs/FORMAT.md.
@@ -301,16 +302,6 @@ void verify_payload(std::span<const std::uint8_t> container,
 /// Verifies every entry of the index. No-op for an empty (v1) index.
 void verify_payloads(std::span<const std::uint8_t> container,
                      const PayloadIndex& index);
-
-/// Shared preamble for backends whose payloads map 1:1 to levels (TAC,
-/// 1D): bounds- and checksum-checks entry `level` and returns a reader
-/// over exactly that payload's bytes. Returns nullopt when the index does
-/// not map to levels (a v1 container) — the caller should fall back to
-/// CompressorBackend::decompress_level's full decode. Throws
-/// std::out_of_range for a level the container does not have.
-[[nodiscard]] std::optional<ByteReader> indexed_level_reader(
-    std::span<const std::uint8_t> container, const CommonHeader& header,
-    std::size_t level);
 
 }  // namespace tac::core
 

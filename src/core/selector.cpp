@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
-#include "common/parallel.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
 #include "core/block_grid.hpp"
@@ -204,11 +202,10 @@ SelectionDecision select_for_level(const amr::AmrLevel& lv, std::size_t level,
 
 namespace {
 
-/// The `auto` pseudo-backend: per level, run the selection trial, encode
-/// with the winner, and stamp the winner's tag into the v4 selector byte.
-/// Decoding dispatches every payload to the backend its index entry
-/// names, so mixed-method containers round-trip through the ordinary
-/// decompress_any / decompress_level entry points.
+/// The `auto` pseudo-backend: the level pipeline with the selector as
+/// picker — each level is encoded by its trial winner, whose tag lands in
+/// the payload's v4 selector byte. Decoding is the pipeline's, which
+/// dispatches every payload to the backend its index entry names.
 class AutoBackend final : public CompressorBackend {
  public:
   [[nodiscard]] Method method() const override { return Method::kAuto; }
@@ -216,112 +213,15 @@ class AutoBackend final : public CompressorBackend {
 
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
-    if (ds.num_levels() == 0)
-      throw std::invalid_argument("auto: empty dataset");
-    if (!cfg.level_error_bounds.empty() &&
-        cfg.level_error_bounds.size() != ds.num_levels())
-      throw std::invalid_argument(
-          "auto: level_error_bounds has " +
-          std::to_string(cfg.level_error_bounds.size()) +
-          " entries but the dataset has " + std::to_string(ds.num_levels()) +
-          " levels (need one bound per level, finest first)");
-    if (cfg.block_size == 0)
-      throw std::invalid_argument("auto: block_size must be > 0");
     (void)selector_candidates(cfg.selector);  // validate before any work
-
-    TAC_SPAN("auto.compress");
-    Timer total;
-    CompressReport report;
-    report.method = Method::kAuto;
-    report.original_bytes = ds.original_bytes();
-
-    // Same level pipeline as TAC: select + encode each level concurrently
-    // into private chunks, merge in level order. With the default kRatio
-    // objective the winners — and therefore the container bytes — are
-    // identical at any thread count.
-    struct LevelOutput {
-      Method winner = Method::kTac;
-      LevelPayload payload;
-    };
-    std::vector<LevelOutput> levels(ds.num_levels());
-    parallel_for(
-        0, ds.num_levels(),
-        [&](std::size_t l) {
-          const SelectionDecision d = select_for_level(ds.level(l), l, cfg);
-          LevelOutput& out = levels[l];
-          out.winner = d.winner;
-          out.payload =
-              backend_for(d.winner).compress_level_payload(ds.level(l), l, cfg);
-          out.payload.report.method = d.winner;
-          out.payload.report.selection_seconds = d.seconds;
-        },
-        /*grain=*/1);
-
-    ByteWriter w;
-    PayloadIndexBuilder index = write_common_header(
-        w, Method::kAuto, ds, ds.num_levels(), cfg.sz.profile);
-    for (auto& lvl : levels) {
-      index.begin_payload();
-      w.put_bytes(lvl.payload.bytes);
-      index.end_payload(lvl.winner);
-      report.levels.push_back(lvl.payload.report);
-    }
-    index.finish();
-
-    CompressedAmr out;
-    out.bytes = w.take();
-    report.compressed_bytes = out.bytes.size();
-    report.seconds = total.seconds();
-    out.report = std::move(report);
-    return out;
-  }
-
-  [[nodiscard]] amr::AmrDataset decompress(
-      ByteReader& r, amr::AmrDataset skeleton,
-      const CommonHeader& header) const override {
-    for (std::size_t l = 0; l < skeleton.num_levels(); ++l)
-      owner_of(header, l).decompress_level_payload(
-          r, skeleton.level(l), required_profile(header, l));
-    return skeleton;
-  }
-
-  /// Native partial decompression: one payload per level, dispatched to
-  /// the backend its selector byte names.
-  [[nodiscard]] amr::AmrLevel decompress_level(
-      std::span<const std::uint8_t> container, const CommonHeader& header,
-      std::size_t level) const override {
-    auto r = indexed_level_reader(container, header, level);
-    if (!r)  // index doesn't map to levels: corrupt/hand-rolled container
-      return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = zeroed_level(header.skeleton.level(level));
-    owner_of(header, level).decompress_level_payload(
-        *r, lv, required_profile(header, level));
-    return lv;
-  }
-
- private:
-  /// The backend a payload's selector byte names. Auto containers always
-  /// stamp concrete winners, so a missing selector means the container
-  /// was not produced by this library's auto writer.
-  static const CompressorBackend& owner_of(const CommonHeader& header,
-                                           std::size_t l) {
-    const std::optional<Method> m = payload_method(header, l);
-    if (!m)
-      throw std::runtime_error(
-          "auto: payload " + std::to_string(l) +
-          " carries no recorded selector (container predates format v4 "
-          "or was not written by the auto backend)");
-    return backend_for(*m);
-  }
-
-  static lossless::CodecProfile required_profile(const CommonHeader& header,
-                                                 std::size_t l) {
-    const auto p = payload_profile(header, l);
-    if (!p)
-      throw std::runtime_error(
-          "auto: payload " + std::to_string(l) +
-          " carries no codec-profile byte (container predates format v3)");
-    return *p;
+    // With the default kRatio objective the winners — and therefore the
+    // container bytes — are identical at any thread count.
+    return compress_levels(
+        ds, cfg,
+        [](const amr::AmrLevel& lv, std::size_t level, const TacConfig& c) {
+          const SelectionDecision d = select_for_level(lv, level, c);
+          return LevelPick{d.winner, d.seconds};
+        });
   }
 };
 

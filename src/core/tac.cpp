@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <stdexcept>
-#include <string>
 
 #include "common/parallel.hpp"
 #include "common/telemetry.hpp"
@@ -10,29 +9,10 @@
 #include "core/backend.hpp"
 #include "core/extraction.hpp"
 #include "core/gsp.hpp"
-#include "sz/resolve.hpp"
 #include "sz/sz.hpp"
 
 namespace tac::core {
 namespace {
-
-/// Resolves the absolute bound for one level. Relative bounds use the
-/// level's valid-value range so every stream of the level shares one
-/// bound (a per-group range would silently vary the bound inside a level).
-sz::SzConfig resolve_level_config(const TacConfig& cfg, std::size_t level,
-                                  const amr::AmrLevel& lv) {
-  if (!cfg.level_error_bounds.empty()) {
-    sz::SzConfig out = cfg.sz;
-    out.mode = sz::ErrorBoundMode::kAbsolute;
-    out.error_bound = cfg.level_error_bounds.at(level);
-    return out;
-  }
-  if (cfg.sz.mode == sz::ErrorBoundMode::kRelative) {
-    const auto [lo, hi] = lv.valid_range();
-    return sz::resolve_range_bound(cfg.sz, lo, hi);
-  }
-  return cfg.sz;
-}
 
 void serialize_groups(ByteWriter& w, const std::vector<BlockGroup>& groups,
                       const std::vector<std::vector<std::uint8_t>>& streams) {
@@ -92,16 +72,31 @@ DecodedGroups deserialize_groups(
   return out;
 }
 
-/// Decodes one level's payload (strategy tag, block size, streams) into
-/// `lv`, whose mask is already filled from the header and whose data is
-/// zeroed. Shared by the full decode and the indexed single-level path.
-/// Invalid cells come out +0.0 — padded or residual values inside the
-/// decoded blocks must not leak into the level — and only the cells the
-/// payload covers are written. `expected` is the codec profile the
-/// container's index declares for this payload (nullopt for pre-v3
-/// containers → lenient decode).
-void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
-                      std::optional<lossless::CodecProfile> expected) {
+class TacBackend final : public CompressorBackend {
+ public:
+  [[nodiscard]] Method method() const override { return Method::kTac; }
+  [[nodiscard]] const char* name() const override { return "TAC"; }
+  [[nodiscard]] bool supports_level_payloads() const override { return true; }
+
+  /// Strategy tag, block size, then the strategy's streams. Levels are
+  /// independent, so the pipeline encodes them concurrently. Taking the
+  /// level (not the dataset) lets the auto-selector trial-encode sampled
+  /// stand-in levels through the same code path.
+  [[nodiscard]] LevelPayload compress_level_payload(
+      const amr::AmrLevel& lv, std::size_t level,
+      const TacConfig& cfg) const override;
+
+  /// Invalid cells come out +0.0 — padded or residual values inside the
+  /// decoded blocks must not leak into the level — and only the cells the
+  /// payload covers are written.
+  void decompress_level_payload(
+      ByteReader& r, amr::AmrLevel& lv,
+      std::optional<lossless::CodecProfile> expected) const override;
+};
+
+void TacBackend::decompress_level_payload(
+    ByteReader& r, amr::AmrLevel& lv,
+    std::optional<lossless::CodecProfile> expected) const {
   TAC_SPAN("tac.level_decode");
   const auto strategy = static_cast<Strategy>(r.get<std::uint8_t>());
   const std::size_t block_size = static_cast<std::size_t>(r.get_varint());
@@ -131,14 +126,9 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
   }
 }
 
-/// Encodes one level standalone (strategy tag, block size, streams) —
-/// the container chunk plus diagnostics. Levels are independent, so the
-/// pipeline produces these concurrently and concatenates the chunks in
-/// level order — byte-identical to a serial run at any thread count.
-/// Taking the level (not the dataset) lets the auto-selector trial-encode
-/// sampled stand-in levels through the same code path.
-LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
-                            const TacConfig& cfg) {
+LevelPayload TacBackend::compress_level_payload(const amr::AmrLevel& lv,
+                                               std::size_t level,
+                                               const TacConfig& cfg) const {
   TAC_SPAN("tac.level_compress");
   LevelPayload out;
   LevelReport& lr = out.report;
@@ -227,95 +217,6 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
   return out;
 }
 
-class TacBackend final : public CompressorBackend {
- public:
-  [[nodiscard]] Method method() const override { return Method::kTac; }
-  [[nodiscard]] const char* name() const override { return "TAC"; }
-
-  [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
-                                       const TacConfig& cfg) const override {
-    if (ds.num_levels() == 0)
-      throw std::invalid_argument("tac_compress: empty dataset");
-    if (!cfg.level_error_bounds.empty() &&
-        cfg.level_error_bounds.size() != ds.num_levels())
-      throw std::invalid_argument(
-          "tac_compress: level_error_bounds has " +
-          std::to_string(cfg.level_error_bounds.size()) +
-          " entries but the dataset has " + std::to_string(ds.num_levels()) +
-          " levels (need one bound per level, finest first)");
-    if (cfg.block_size == 0)
-      throw std::invalid_argument("tac_compress: block_size must be > 0");
-
-    TAC_SPAN("tac.compress");
-    Timer total;
-    CompressReport report;
-    report.method = Method::kTac;
-    report.original_bytes = ds.original_bytes();
-
-    // Level pipeline: levels are compressed concurrently into private
-    // chunks and merged in level order, so the container and the report
-    // are stable regardless of the worker count.
-    std::vector<LevelPayload> levels(ds.num_levels());
-    parallel_for(
-        0, ds.num_levels(),
-        [&](std::size_t l) { levels[l] = compress_level(ds.level(l), l, cfg); },
-        /*grain=*/1);
-
-    ByteWriter w;
-    PayloadIndexBuilder index = write_common_header(
-        w, Method::kTac, ds, ds.num_levels(), cfg.sz.profile);
-    for (auto& lvl : levels) {
-      index.begin_payload();
-      w.put_bytes(lvl.bytes);
-      index.end_payload();
-      report.levels.push_back(lvl.report);
-    }
-    index.finish();
-
-    CompressedAmr out;
-    out.bytes = w.take();
-    report.compressed_bytes = out.bytes.size();
-    report.seconds = total.seconds();
-    out.report = std::move(report);
-    return out;
-  }
-
-  [[nodiscard]] amr::AmrDataset decompress(
-      ByteReader& r, amr::AmrDataset skeleton,
-      const CommonHeader& header) const override {
-    for (std::size_t l = 0; l < skeleton.num_levels(); ++l)
-      decode_tac_level(r, skeleton.level(l), payload_profile(header, l));
-    return skeleton;
-  }
-
-  /// Native partial decompression: level payloads are written one per
-  /// index entry, so only that entry's bytes are checksummed and decoded.
-  [[nodiscard]] amr::AmrLevel decompress_level(
-      std::span<const std::uint8_t> container, const CommonHeader& header,
-      std::size_t level) const override {
-    auto r = indexed_level_reader(container, header, level);
-    if (!r)  // v1 container (no index): fall back to the full decode.
-      return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = zeroed_level(header.skeleton.level(level));
-    decode_tac_level(*r, lv, payload_profile(header, level));
-    return lv;
-  }
-
-  [[nodiscard]] bool supports_level_payloads() const override { return true; }
-
-  [[nodiscard]] LevelPayload compress_level_payload(
-      const amr::AmrLevel& lv, std::size_t level,
-      const TacConfig& cfg) const override {
-    return compress_level(lv, level, cfg);
-  }
-
-  void decompress_level_payload(
-      ByteReader& r, amr::AmrLevel& lv,
-      lossless::CodecProfile profile) const override {
-    decode_tac_level(r, lv, profile);
-  }
-};
-
 }  // namespace
 
 namespace detail {
@@ -332,26 +233,6 @@ Strategy select_strategy(double block_density, double t1, double t2) {
 
 CompressedAmr tac_compress(const amr::AmrDataset& ds, const TacConfig& cfg) {
   return backend_for(Method::kTac).compress(ds, cfg);
-}
-
-amr::AmrDataset decompress_any(std::span<const std::uint8_t> bytes) {
-  TAC_SPAN_BYTES("core.decompress_any", bytes.size());
-  ByteReader r(bytes);
-  CommonHeader h = read_common_header(r);
-  // v2+: every payload is about to be read — catch corruption up front as
-  // a checksum error rather than a decoder misparse. No-op for v1.
-  verify_payloads(bytes, h.index);
-  // The header (still valid: only the skeleton is moved from) carries the
-  // per-payload codec profiles the backend dispatches on.
-  return backend_for(h.method).decompress(
-      r, zeroed_levels(std::move(h.skeleton)), h);
-}
-
-amr::AmrLevel decompress_level(std::span<const std::uint8_t> bytes,
-                               std::size_t level) {
-  ByteReader r(bytes);
-  const CommonHeader h = read_common_header(r);
-  return backend_for(h.method).decompress_level(bytes, h, level);
 }
 
 }  // namespace tac::core

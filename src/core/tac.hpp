@@ -124,10 +124,13 @@ struct CompressedAmr {
     std::span<const std::uint8_t> bytes);
 
 /// Decompresses a single level of a container — the random-access path the
-/// v2 payload index exists for. For per-level backends (TAC, 1D) only the
-/// requested level's payload bytes are checksummed and decoded (O(level),
-/// not O(dataset)); interleaved backends (zMesh, 3D) fall back to a full
-/// decode. The result is byte-identical to `decompress_any(bytes).level(k)`.
+/// v2 payload index exists for. For per-level backends (TAC, 1D, auto)
+/// only the requested level's payload bytes are checksummed and decoded
+/// (O(level), not O(dataset)), and the level's mask is moved out of the
+/// parsed header rather than copied; interleaved backends (zMesh, 3D) fall
+/// back to a full decode. The result is byte-identical to
+/// `decompress_any(bytes).level(k)`. To read several levels, parse the
+/// header once and call CompressorBackend::decompress_level.
 [[nodiscard]] amr::AmrLevel decompress_level(
     std::span<const std::uint8_t> bytes, std::size_t level);
 

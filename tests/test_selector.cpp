@@ -199,6 +199,65 @@ TEST(Selector, UnknownSelectorByteIsATypedError) {
   }
 }
 
+// A fixed-method container stamps its own tag into every selector byte,
+// and an `auto` container the tag of a level-capable winner. A registered
+// tag outside those rules is damage (the index is not CRC-covered) and
+// must not route the payload to that backend's decoder.
+TEST(Selector, ContradictorySelectorByteIsATypedError) {
+  const auto ds = mixed_winner_dataset();
+  for (const auto& [container, named] :
+       {std::pair{Method::kTac, Method::kOneD},
+        std::pair{Method::kAuto, Method::kZMesh}}) {
+    SCOPED_TRACE(to_string(container));
+    const auto bytes = backend_for(container).compress(ds, auto_config()).bytes;
+    const CommonHeader h = header_of(bytes);
+    auto damaged = bytes;
+    damaged[selector_byte_offset(h, 0)] = static_cast<std::uint8_t>(named);
+    EXPECT_THROW((void)decompress_any(damaged), SelectorError);
+    EXPECT_THROW((void)decompress_level(damaged, 0), SelectorError);
+    // The sibling level's entry is intact, so its indexed read still works.
+    EXPECT_EQ(decompress_level(damaged, 1).valid_count(),
+              ds.level(1).valid_count());
+  }
+}
+
+// Per-level bounds are part of the level pipeline, not of one backend:
+// when 1D encodes a level it must apply that level's bound, not the
+// loose global one.
+TEST(Selector, PerLevelBoundsHoldWhenOneDEncodesTheLevel) {
+  const auto ds = mixed_winner_dataset();
+  ASSERT_EQ(ds.num_levels(), 2u);
+  TacConfig cfg = auto_config(1e3);
+  cfg.level_error_bounds = {1.0, 2.0};
+  cfg.selector.candidates = {Method::kOneD};
+  const CompressedAmr out = backend_for(Method::kAuto).compress(ds, cfg);
+  const auto back = decompress_any(out.bytes);
+  for (std::size_t l = 0; l < ds.num_levels(); ++l) {
+    const double eb = cfg.level_error_bounds[l];
+    EXPECT_EQ(out.report.levels[l].method, Method::kOneD) << "level " << l;
+    EXPECT_EQ(out.report.levels[l].abs_error_bound, eb) << "level " << l;
+    const auto& orig = ds.level(l);
+    double max_err = 0;
+    for (std::size_t i = 0; i < orig.data.size(); ++i)
+      if (orig.mask[i])
+        max_err = std::max(max_err,
+                           std::abs(orig.data[i] - back.level(l).data[i]));
+    EXPECT_LE(max_err, eb) << "level " << l;
+  }
+}
+
+TEST(Selector, OneDRejectsAMismatchedBoundCount) {
+  const auto ds = mixed_winner_dataset();
+  TacConfig cfg = auto_config();
+  for (const std::vector<double>& bounds :
+       {std::vector<double>{1.0}, std::vector<double>{1.0, 2.0, 3.0}}) {
+    cfg.level_error_bounds = bounds;
+    EXPECT_THROW((void)backend_for(Method::kOneD).compress(ds, cfg),
+                 std::invalid_argument)
+        << bounds.size() << " bounds";
+  }
+}
+
 TEST(Selector, FixedBackendsStampTheirOwnTag) {
   const auto ds = mixed_winner_dataset();
   const TacConfig cfg = auto_config();

@@ -7,12 +7,14 @@
 #include <random>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/metrics.hpp"
 #include "core/adaptive.hpp"
 #include "core/backend.hpp"
 #include "core/baselines.hpp"
 #include "core/tac.hpp"
+#include "lossless/codec.hpp"
 #include "simnyx/generator.hpp"
 
 namespace tac::core {
@@ -265,30 +267,72 @@ bool same_bits(const Array3D<double>& a, const Array3D<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// One invariant sweep: every level-capable backend (the five forced TAC
+/// strategies, 1D, and `auto` restricted to {TAC}, to {1D} and with the
+/// default candidates) under absolute, relative and per-level bounds in
+/// both codec profiles. Each container must decode every valid cell
+/// within the level's resolved bound and every invalid cell as +0.0 bits,
+/// and `decompress_level(k)` must be bit-identical to the full decode.
 TEST(DecodeInvariant, InvalidCellsArePositiveZeroAndLevelReadsMatch) {
   const auto ds = invariant_dataset();
-  const double eb = 1e-3;
-  TacConfig cfg;
-  cfg.sz.mode = sz::ErrorBoundMode::kAbsolute;
-  cfg.sz.error_bound = eb;
-  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> containers;
-  for (const Strategy s : {Strategy::kNaST, Strategy::kOpST,
-                           Strategy::kAKDTree, Strategy::kGSP, Strategy::kZF}) {
-    cfg.force_strategy = s;
-    containers.emplace_back(to_string(s), tac_compress(ds, cfg).bytes);
-  }
-  cfg.force_strategy.reset();
-  containers.emplace_back("1D", oned_compress(ds, cfg.sz).bytes);
-  containers.emplace_back(
-      "auto", backend_for(Method::kAuto).compress(ds, cfg).bytes);
+  struct Case {
+    std::string name;
+    Method method = Method::kTac;
+    TacConfig cfg;
+  };
+  std::vector<Case> cases;
+  for (const char* bound : {"abs", "rel", "per-level"})
+    for (const auto profile :
+         {lossless::CodecProfile::kLegacy, lossless::CodecProfile::kFast}) {
+      TacConfig cfg;
+      cfg.sz.profile = profile;
+      cfg.sz.mode = sz::ErrorBoundMode::kAbsolute;
+      cfg.sz.error_bound = 1e-3;
+      if (std::string(bound) == "rel") {
+        cfg.sz.mode = sz::ErrorBoundMode::kRelative;
+        cfg.sz.error_bound = 2e-3;
+      } else if (std::string(bound) == "per-level") {
+        // A loose global bound: only the per-level entries keep the
+        // error small, so a backend that ignores them fails the sweep.
+        cfg.sz.error_bound = 0.5;
+        cfg.level_error_bounds = {5e-4, 2e-3};
+      }
+      const std::string tag =
+          std::string(bound) + "/" + lossless::to_string(profile) + "/";
+      for (const Strategy s : {Strategy::kNaST, Strategy::kOpST,
+                               Strategy::kAKDTree, Strategy::kGSP,
+                               Strategy::kZF}) {
+        Case c{tag + to_string(s), Method::kTac, cfg};
+        c.cfg.force_strategy = s;
+        cases.push_back(c);
+      }
+      cases.push_back({tag + "1D", Method::kOneD, cfg});
+      for (const auto& [name, candidates] :
+           {std::pair<const char*, std::vector<Method>>{"auto{TAC}",
+                                                        {Method::kTac}},
+            {"auto{1D}", {Method::kOneD}},
+            {"auto", {}}}) {
+        Case c{tag + name, Method::kAuto, cfg};
+        c.cfg.selector.candidates = candidates;
+        cases.push_back(c);
+      }
+    }
 
-  for (const auto& [name, bytes] : containers) {
-    SCOPED_TRACE(name);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto bytes = backend_for(c.method).compress(ds, c.cfg).bytes;
     const auto full = decompress_any(bytes);
     ASSERT_EQ(full.num_levels(), ds.num_levels());
     for (std::size_t l = 0; l < ds.num_levels(); ++l) {
       const auto& ol = ds.level(l);
       const auto& rl = full.level(l);
+      double eb = c.cfg.sz.error_bound;
+      if (!c.cfg.level_error_bounds.empty()) {
+        eb = c.cfg.level_error_bounds[l];
+      } else if (c.cfg.sz.mode == sz::ErrorBoundMode::kRelative) {
+        const auto [lo, hi] = ol.valid_range();
+        eb *= hi - lo;
+      }
       ASSERT_EQ(rl.mask, ol.mask) << "level " << l;
       std::size_t not_zero = 0;
       double max_err = 0;
