@@ -32,9 +32,10 @@ struct Measurement {
   double seconds = 0;  ///< timed compress + decompress, generation excluded
   std::size_t compressed_bytes = 0;
   std::size_t index_bytes = 0;
-  double compress_seconds = 0;   ///< compress wall time alone
-  double selection_seconds = 0;  ///< auto only: summed trial time
-  std::string winners;           ///< auto only: per-level picks, finest first
+  double level_encode_seconds = 0;  ///< summed per-level preprocess +
+                                    ///< compress time
+  double selection_seconds = 0;     ///< auto only: summed trial time
+  std::string winners;  ///< auto only: per-level picks, finest first
   std::vector<telemetry::StageStat> stages;  ///< per-stage time/byte totals
 };
 
@@ -59,8 +60,8 @@ Measurement measure(const amr::AmrDataset& ds, core::Method method,
   m.throughput_mbs = throughput_mbs(ds.original_bytes(), secs);
   m.seconds = secs;
   m.compressed_bytes = compressed.bytes.size();
-  m.compress_seconds = compressed.report.seconds;
   for (const core::LevelReport& lr : compressed.report.levels) {
+    m.level_encode_seconds += lr.preprocess_seconds + lr.compress_seconds;
     m.selection_seconds += lr.selection_seconds;
     if (method == core::Method::kAuto) {
       if (!m.winners.empty()) m.winners += ",";
@@ -178,9 +179,9 @@ int main() {
   std::size_t total_index = 0, total_compressed = 0;
   // Acceptance tracking for the auto selector: aggregate compressed size
   // per method (auto must beat or match the best fixed backend) and the
-  // selection overhead as a fraction of auto's compression wall time.
+  // selection overhead as a fraction of auto's summed level encode time.
   std::size_t total_1d = 0, total_3d = 0, total_tac = 0, total_auto = 0;
-  double auto_selection_seconds = 0, auto_compress_seconds = 0;
+  double auto_selection_seconds = 0, auto_encode_seconds = 0;
   std::printf("%-10s %12s %10s %10s %10s %10s %12s\n", "dataset", "abs_eb",
               "1D", "3D", "TAC", "auto", "TAC/3D");
   for (const auto& preset : presets) {
@@ -208,7 +209,7 @@ int main() {
       total_tac += mtac.compressed_bytes;
       total_auto += mauto.compressed_bytes;
       auto_selection_seconds += mauto.selection_seconds;
-      auto_compress_seconds += mauto.compress_seconds;
+      auto_encode_seconds += mauto.level_encode_seconds;
       for (const Measurement* m : {&m1d, &m3d, &mtac, &mauto}) {
         max_overhead = std::max(
             max_overhead, static_cast<double>(m->index_bytes) /
@@ -240,20 +241,23 @@ int main() {
 
   // Auto-selector acceptance: its aggregate compressed size must beat or
   // match the best single fixed backend, and the trial selection must
-  // cost <10% of auto's compression wall time at the default sampling
-  // rate.
+  // cost <10% of auto's level encode work at the default sampling rate.
+  // Both sides are sums of per-level times, so unlike a ratio against the
+  // compress wall time it does not grow with how many levels overlap.
+  // Each level's times still include waiting on the other levels'
+  // threads, so it reads higher with more workers on a loaded host.
   const std::size_t best_fixed = std::min({total_1d, total_3d, total_tac});
   const double selection_frac =
-      auto_compress_seconds > 0 ? auto_selection_seconds / auto_compress_seconds
-                                : 0;
+      auto_encode_seconds > 0 ? auto_selection_seconds / auto_encode_seconds
+                              : 0;
   const bool auto_size_ok = total_auto <= best_fixed;
   const bool auto_overhead_ok = selection_frac < 0.10;
   std::printf("auto selector: %zu bytes aggregate vs best fixed %zu "
               "(1D %zu, 3D %zu, TAC %zu) %s\n",
               total_auto, best_fixed, total_1d, total_3d, total_tac,
               auto_size_ok ? "OK" : "EXCEEDED");
-  std::printf("auto selection overhead: %.2f%% of compression time "
-              "(budget: <10%%) %s\n",
+  std::printf("auto selection overhead: %.2f%% of summed level encode "
+              "time (budget: <10%%) %s\n",
               100.0 * selection_frac, auto_overhead_ok ? "OK" : "EXCEEDED");
   return (aggregate < 0.01 && json_ok && auto_size_ok && auto_overhead_ok)
              ? 0

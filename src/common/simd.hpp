@@ -68,13 +68,14 @@ inline void force_scalar(bool on) {
   return scalar_forced() ? Level::kScalar : detected;
 }
 
-/// Interior rows the fast-profile Lorenzo wavefront keeps in flight
-/// (sz.cpp). Four independent loop-carried chains cover the quantize
-/// round-trip latency; measured A/B against 6- and 8-row variants, wider
-/// fronts spill the per-row pointer/carry state past the 16 general
-/// registers and run up to 14% slower on 128^3 grids. NOT dispatched at
-/// runtime: the wavefront is a pure reschedule of the scalar dataflow,
-/// so scalar and SIMD builds produce identical bytes.
+/// Interior rows the Lorenzo wavefront keeps in flight (sz.cpp), on the
+/// quantize and reconstruct sides alike and under every codec profile.
+/// Four independent loop-carried chains cover the quantize round-trip
+/// latency; measured A/B against 6- and 8-row variants, wider fronts
+/// spill the per-row pointer/carry state past the 16 general registers
+/// and run up to 14% slower on 128^3 grids. NOT dispatched at runtime:
+/// the wavefront is a pure reschedule of the scalar dataflow, so scalar
+/// and SIMD builds produce identical bytes.
 inline constexpr std::size_t kWavefrontRows = 4;
 
 [[nodiscard]] inline const char* level_name(Level l) {

@@ -39,8 +39,14 @@ struct DecodedGroups {
 DecodedGroups deserialize_groups(
     ByteReader& r, std::size_t block_size,
     std::optional<lossless::CodecProfile> expected) {
+  // A group takes at least five bytes (four varints and its stream's
+  // length varint) and a member three, so a count the remaining bytes
+  // cannot hold is corrupt; checking first bounds both reserves by the
+  // input size.
   DecodedGroups out;
   const std::size_t ngroups = static_cast<std::size_t>(r.get_varint());
+  if (ngroups > r.remaining() / 5)
+    throw std::runtime_error("tac: group count exceeds the level payload");
   out.groups.reserve(ngroups);
   for (std::size_t g = 0; g < ngroups; ++g) {
     BlockGroup grp;
@@ -50,6 +56,8 @@ DecodedGroups deserialize_groups(
     grp.block_cell_dims = {sx * block_size, sy * block_size,
                            sz_ * block_size};
     const std::size_t nmembers = static_cast<std::size_t>(r.get_varint());
+    if (nmembers > r.remaining() / 3)
+      throw std::runtime_error("tac: member count exceeds the level payload");
     grp.members.reserve(nmembers);
     for (std::size_t m = 0; m < nmembers; ++m) {
       SubBlock sb;

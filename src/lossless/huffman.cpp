@@ -474,6 +474,9 @@ std::vector<std::uint8_t> huffman_table_serialize(const HuffmanTable& table) {
 HuffmanTable huffman_table_deserialize(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   const std::uint64_t n = r.get_varint();
+  // Each entry is a symbol-delta varint and a length byte.
+  if (n > r.remaining() / 2)
+    throw std::runtime_error("huffman table: symbol count exceeds table");
   HuffmanTable table;
   table.symbols.reserve(n);
   table.lengths.reserve(n);

@@ -45,11 +45,10 @@ struct SzConfig {
   Predictor predictor = Predictor::kLorenzo;
   /// Side of the prediction tiles in kHybrid mode (SZ2 uses 6).
   std::size_t pred_block = 6;
-  /// Lossless encoder family for every byte stream this compressor emits,
-  /// and gate for the wide-wavefront Lorenzo scan order. Not serialized
-  /// in the sz stream itself — the container's v3 payload index records
-  /// it; the decoder is told the expected profile (or decodes leniently
-  /// for pre-v3 containers).
+  /// Lossless encoder family for every byte stream this compressor emits.
+  /// Not serialized in the sz stream itself — the container's v3 payload
+  /// index records it; the decoder is told the expected profile (or
+  /// decodes leniently for pre-v3 containers).
   lossless::CodecProfile profile = lossless::default_profile();
 
   [[nodiscard]] SzConfig with_error_bound(double eb) const {

@@ -363,14 +363,15 @@ TilePlan plan_tiles(const T* block, Dims3 dims, std::size_t pb) {
 // The quantizer is latency-bound, not throughput-bound: each cell's
 // prediction needs the previous cell's reconstruction, so the 6-add
 // stencil, the residual divide and the round sit on one loop-carried
-// chain (~60 cycles). The Lorenzo path therefore interleaves two
-// adjacent rows at a 2-cell stagger: row y+1 only ever reads row y cells
-// that retired at least two iterations earlier, so the two chains are
-// independent and overlap in the pipeline. This is a reschedule of the
-// same dataflow graph — every cell still sees bit-identical inputs.
+// chain (~60 cycles). The Lorenzo path therefore runs interior rows as a
+// wavefront, each row staggered 2 cells behind the one above: row y+1
+// only ever reads row y cells that retired at least two iterations
+// earlier, so the rows' chains are independent and overlap in the
+// pipeline. This is a reschedule of the same dataflow graph — every cell
+// still sees bit-identical inputs.
 // ---------------------------------------------------------------------------
 
-/// Stagger distance of the second interleaved row. Must be >= 1 so row
+/// Stagger distance between adjacent wavefront rows. Must be >= 1 so row
 /// y+1 never reads a row-y cell from the same iteration; 2 keeps the
 /// just-written neighbour out of store-to-load forwarding stalls.
 constexpr std::size_t kRowLag = 2;
@@ -392,12 +393,11 @@ template <class T>
           finite_or_zero(static_cast<double>(yzm[x - 1])));
 }
 
-/// Wavefront width of the fast codec profile's Lorenzo scan order
-/// (simd::kWavefrontRows interior rows in flight, each staggered kRowLag
-/// cells behind the row above). The legacy 3-row interleave is kept
-/// verbatim for legacy-profile streams; both orders evaluate the same
-/// expression tree per cell, so decoded values are identical — only the
-/// instruction schedule (and thus throughput) differs.
+/// Wavefront width of the Lorenzo scan (simd::kWavefrontRows interior
+/// rows in flight, each staggered kRowLag cells behind the row above).
+/// Every front evaluates the same expression tree per cell as a plain
+/// row-by-row scan, so the width changes only the instruction schedule,
+/// never a value.
 constexpr std::size_t kWaveRows = simd::kWavefrontRows;
 
 /// Runs one W-row interleaved wavefront over interior rows [y, y+W) of
@@ -435,33 +435,57 @@ template <std::size_t W, class T, class FirstCell, class RowCell>
            ...);
         }(std::make_index_sequence<W>{});
   };
-  // Ramp-up and drain keep the per-lane range tests; the steady-state
-  // loop (every lane in flight) runs branchless.
-  const std::size_t steady_begin = 1 + (W - 1) * kRowLag;
   const std::size_t x_end = nx + (W - 1) * kRowLag;
   std::size_t x = 1;
-  for (; x < steady_begin && x < x_end; ++x) ramp(x);
-  for (; x < nx; ++x) {
-    [&]<std::size_t... Ws>(std::index_sequence<Ws...>)
-        __attribute__((always_inline)) {
-          ((left[Ws] = row_cell(Ws, rows[Ws] + (x - Ws * kRowLag),
-                                lorenzo_row_predict(left[Ws], ym[Ws], zm[Ws],
-                                                    yzm[Ws],
-                                                    x - Ws * kRowLag))),
-           ...);
-        }(std::make_index_sequence<W>{});
+  // A full front splits a branchless steady-state loop (every lane in
+  // flight) off the ramp-up and drain, which keep the per-lane range
+  // tests. A narrower front runs once per plane and stays one ramp loop:
+  // split as well, it cost the full fronts' loop ~10% on 128^3 quantize
+  // (4-vCPU Xeon VM, g++ 12).
+  if constexpr (W == kWaveRows) {
+    const std::size_t steady_begin = 1 + (W - 1) * kRowLag;
+    for (; x < steady_begin && x < x_end; ++x) ramp(x);
+    for (; x < nx; ++x) {
+      [&]<std::size_t... Ws>(std::index_sequence<Ws...>)
+          __attribute__((always_inline)) {
+            ((left[Ws] = row_cell(Ws, rows[Ws] + (x - Ws * kRowLag),
+                                  lorenzo_row_predict(left[Ws], ym[Ws],
+                                                      zm[Ws], yzm[Ws],
+                                                      x - Ws * kRowLag))),
+             ...);
+          }(std::make_index_sequence<W>{});
+    }
   }
   for (; x < x_end; ++x) ramp(x);
+}
+
+/// Covers the interior rows [1, ny) of one plane with consecutive fronts:
+/// full kWaveRows-row fronts, then one front of the 1..kWaveRows-1 rows
+/// left. Calls `front(std::integral_constant<std::size_t, R>{}, y)` for
+/// the R-row front starting at row y.
+template <class Front>
+[[gnu::always_inline]] inline void for_each_front(std::size_t ny,
+                                                  Front&& front) {
+  std::size_t y = 1;
+  for (; y + kWaveRows <= ny; y += kWaveRows)
+    front(std::integral_constant<std::size_t, kWaveRows>{}, y);
+  const std::size_t rest = ny - y;
+  [&]<std::size_t... Rs>(std::index_sequence<Rs...>)
+      __attribute__((always_inline)) {
+        ((rest == Rs + 1
+              ? front(std::integral_constant<std::size_t, Rs + 1>{}, y)
+              : void()),
+         ...);
+      }(std::make_index_sequence<kWaveRows - 1>{});
 }
 
 /// Quantizes one block: fills `codes` and `recon` (the values the
 /// decompressor will see). Returns the number of outliers (codes[i] == 0
 /// cells); their exact values are collected by a second pass in compress.
-/// `wide` selects the fast-profile wavefront scan order.
 template <class T>
 std::size_t quantize_block(const T* block, Dims3 dims, double eb,
                            std::uint32_t radius, std::uint32_t* codes,
-                           T* recon, const TilePlan* plan, bool wide) {
+                           T* recon, const TilePlan* plan) {
   const ReconView<T> view{recon, dims};
   const std::size_t nx = dims.nx;
   const std::size_t nxy = dims.nx * dims.ny;
@@ -502,64 +526,19 @@ std::size_t quantize_block(const T* block, Dims3 dims, double eb,
       }
       for (std::size_t x = 0; x < nx; ++x)
         cell(plane + x, lorenzo_predict(view, x, 0, z));
-      std::size_t y = 1;
-      if (wide) {
-        for (; y + (kWaveRows - 1) < dims.ny; y += kWaveRows)
-          wave_rows<kWaveRows, T>(
-              recon, plane, y, nx, nxy,
-              [&](std::size_t, std::size_t i, std::size_t yy)
-                  __attribute__((always_inline)) {
-                    return cell(i, lorenzo_predict(view, 0, yy, z));
-                  },
-              [&](std::size_t, std::size_t i, double pred)
-                  __attribute__((always_inline)) { return cell(i, pred); });
-      }
-      // Interleave triples of interior rows, each staggered kRowLag cells
-      // behind the one above: row y+1's cell x only reads row-y cells
-      // <= x - 1, all retired at least kRowLag iterations earlier, so the
-      // three dependency chains are independent and overlap. Under the
-      // wide profile this also mops up the <= kWaveRows-1 rows left after
-      // the last full wavefront (both orders compute identical values).
-      for (; y + 2 < dims.ny; y += 3) {
-        const std::size_t r0 = plane + y * nx;
-        const std::size_t r1 = r0 + nx;
-        const std::size_t r2 = r1 + nx;
-        const T* rc0 = recon + r0;
-        const T* ym0 = rc0 - nx;
-        const T* zm0 = rc0 - nxy;
-        const T* yzm0 = zm0 - nx;
-        const T* ym1 = rc0;
-        const T* zm1 = zm0 + nx;
-        const T* yzm1 = zm0;
-        const T* ym2 = rc0 + nx;
-        const T* zm2 = zm1 + nx;
-        const T* yzm2 = zm1;
-        double l0 = cell(r0, lorenzo_predict(view, 0, y, z));
-        double l1 = cell(r1, lorenzo_predict(view, 0, y + 1, z));
-        double l2 = cell(r2, lorenzo_predict(view, 0, y + 2, z));
-        for (std::size_t x = 1; x < nx + 2 * kRowLag; ++x) {
-          if (x < nx)
-            l0 = cell(r0 + x, lorenzo_row_predict(l0, ym0, zm0, yzm0, x));
-          if (x >= 1 + kRowLag && x < nx + kRowLag) {
-            const std::size_t xb = x - kRowLag;
-            l1 = cell(r1 + xb, lorenzo_row_predict(l1, ym1, zm1, yzm1, xb));
-          }
-          if (x >= 1 + 2 * kRowLag) {
-            const std::size_t xc = x - 2 * kRowLag;
-            l2 = cell(r2 + xc, lorenzo_row_predict(l2, ym2, zm2, yzm2, xc));
-          }
-        }
-      }
-      for (; y < dims.ny; ++y) {
-        const std::size_t row = plane + y * nx;
-        const T* rc = recon + row;
-        const T* ym = rc - nx;
-        const T* zm = rc - nxy;
-        const T* yzm = zm - nx;
-        double left = cell(row, lorenzo_predict(view, 0, y, z));
-        for (std::size_t x = 1; x < nx; ++x)
-          left = cell(row + x, lorenzo_row_predict(left, ym, zm, yzm, x));
-      }
+      for_each_front(
+          dims.ny,
+          [&]<std::size_t R>(std::integral_constant<std::size_t, R>,
+                             std::size_t y) __attribute__((always_inline)) {
+            wave_rows<R, T>(
+                recon, plane, y, nx, nxy,
+                [&](std::size_t, std::size_t i, std::size_t yy)
+                    __attribute__((always_inline)) {
+                      return cell(i, lorenzo_predict(view, 0, yy, z));
+                    },
+                [&](std::size_t, std::size_t i, double pred)
+                    __attribute__((always_inline)) { return cell(i, pred); });
+          });
     }
     return n_outliers;
   }
@@ -621,8 +600,7 @@ std::size_t quantize_block(const T* block, Dims3 dims, double eb,
 template <class T>
 void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
                        std::uint32_t radius, const T* outliers,
-                       std::size_t n_outliers, T* out, const TilePlan* plan,
-                       bool wide) {
+                       std::size_t n_outliers, T* out, const TilePlan* plan) {
   const ReconView<T> view{out, dims};
   const std::size_t nx = dims.nx;
   const std::size_t nxy = dims.nx * dims.ny;
@@ -635,10 +613,10 @@ void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
   };
 
   if (plan == nullptr) {
-    // Dequantized cell with an explicit outlier cursor (so interleaved
-    // rows can each hold their own scan-order position). Every neighbour
-    // a prediction reads precedes the cell in scan order, so computing
-    // pred eagerly only ever touches already-written memory.
+    // Dequantized cell with an explicit outlier cursor (so wavefront rows
+    // can each hold their own scan-order position). Every neighbour a
+    // prediction reads precedes the cell in scan order, so computing pred
+    // eagerly only ever touches already-written memory.
     const auto rcell = [&](std::size_t i, double pred, std::size_t& oix)
         __attribute__((always_inline)) -> double {
       const std::uint32_t code = codes[i];
@@ -664,89 +642,35 @@ void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
       }
       for (std::size_t x = 0; x < nx; ++x)
         rcell(plane + x, lorenzo_predict(view, x, 0, z), oi);
-      std::size_t y = 1;
-      if (wide) {
-        for (; y + (kWaveRows - 1) < dims.ny; y += kWaveRows) {
-          // Per-row outlier cursors: row w starts past every code-0 cell
-          // of the rows above it, so the k-th zero cell in scan order
-          // still takes outliers[k] — the wavefront only reorders the
-          // instruction schedule.
-          std::array<std::size_t, kWaveRows> cur;
-          cur[0] = oi;
-          for (std::size_t w = 0; w + 1 < kWaveRows; ++w) {
-            const std::size_t row = plane + (y + w) * nx;
-            std::size_t zeros = 0;
-            for (std::size_t x = 0; x < nx; ++x) zeros += codes[row + x] == 0;
-            cur[w + 1] = cur[w] + zeros;
-          }
-          wave_rows<kWaveRows, T>(
-              out, plane, y, nx, nxy,
-              [&](std::size_t w, std::size_t i, std::size_t yy)
-                  __attribute__((always_inline)) {
-                    return rcell(i, lorenzo_predict(view, 0, yy, z), cur[w]);
-                  },
-              [&](std::size_t w, std::size_t i, double pred)
-                  __attribute__((always_inline)) {
-                    return rcell(i, pred, cur[w]);
-                  });
-          oi = cur[kWaveRows - 1];
-        }
-      }
-      for (; y + 2 < dims.ny; y += 3) {
-        const std::size_t r0 = plane + y * nx;
-        const std::size_t r1 = r0 + nx;
-        const std::size_t r2 = r1 + nx;
-        // Each lower row's cursor starts past every code-0 cell of the
-        // rows above it: the k-th zero cell in scan order still takes
-        // outliers[k], the stagger only reorders the instruction
-        // schedule.
-        std::size_t zeros0 = 0;
-        std::size_t zeros1 = 0;
-        for (std::size_t x = 0; x < nx; ++x) zeros0 += codes[r0 + x] == 0;
-        for (std::size_t x = 0; x < nx; ++x) zeros1 += codes[r1 + x] == 0;
-        std::size_t oi0 = oi;
-        std::size_t oi1 = oi + zeros0;
-        std::size_t oi2 = oi1 + zeros1;
-        const T* rc0 = out + r0;
-        const T* ym0 = rc0 - nx;
-        const T* zm0 = rc0 - nxy;
-        const T* yzm0 = zm0 - nx;
-        const T* ym1 = rc0;
-        const T* zm1 = zm0 + nx;
-        const T* yzm1 = zm0;
-        const T* ym2 = rc0 + nx;
-        const T* zm2 = zm1 + nx;
-        const T* yzm2 = zm1;
-        double l0 = rcell(r0, lorenzo_predict(view, 0, y, z), oi0);
-        double l1 = rcell(r1, lorenzo_predict(view, 0, y + 1, z), oi1);
-        double l2 = rcell(r2, lorenzo_predict(view, 0, y + 2, z), oi2);
-        for (std::size_t x = 1; x < nx + 2 * kRowLag; ++x) {
-          if (x < nx)
-            l0 = rcell(r0 + x, lorenzo_row_predict(l0, ym0, zm0, yzm0, x),
-                       oi0);
-          if (x >= 1 + kRowLag && x < nx + kRowLag) {
-            const std::size_t xb = x - kRowLag;
-            l1 = rcell(r1 + xb, lorenzo_row_predict(l1, ym1, zm1, yzm1, xb),
-                       oi1);
-          }
-          if (x >= 1 + 2 * kRowLag) {
-            const std::size_t xc = x - 2 * kRowLag;
-            l2 = rcell(r2 + xc, lorenzo_row_predict(l2, ym2, zm2, yzm2, xc),
-                       oi2);
-          }
-        }
-        oi = oi2;
-      }
-      for (; y < dims.ny; ++y) {
-        const std::size_t row = plane + y * nx;
-        const T* rc = out + row;
-        const T* ym = rc - nx;
-        const T* zm = rc - nxy;
-        const T* yzm = zm - nx;
-        double left = rcell(row, lorenzo_predict(view, 0, y, z), oi);
-        for (std::size_t x = 1; x < nx; ++x)
-          left = rcell(row + x, lorenzo_row_predict(left, ym, zm, yzm, x), oi);
-      }
+      for_each_front(
+          dims.ny,
+          [&]<std::size_t R>(std::integral_constant<std::size_t, R>,
+                             std::size_t y) __attribute__((always_inline)) {
+            // Per-row outlier cursors: row w starts past every code-0
+            // cell of the rows above it, so the k-th zero cell in scan
+            // order still takes outliers[k] — the wavefront only reorders
+            // the instruction schedule.
+            std::array<std::size_t, R> cur;
+            cur[0] = oi;
+            for (std::size_t w = 0; w + 1 < R; ++w) {
+              const std::uint32_t* row = codes + plane + (y + w) * nx;
+              std::size_t zeros = 0;
+              for (std::size_t x = 0; x < nx; ++x) zeros += row[x] == 0;
+              cur[w + 1] = cur[w] + zeros;
+            }
+            wave_rows<R, T>(
+                out, plane, y, nx, nxy,
+                [&](std::size_t w, std::size_t i, std::size_t yy)
+                    __attribute__((always_inline)) {
+                      return rcell(i, lorenzo_predict(view, 0, yy, z),
+                                   cur[w]);
+                    },
+                [&](std::size_t w, std::size_t i, double pred)
+                    __attribute__((always_inline)) {
+                      return rcell(i, pred, cur[w]);
+                    });
+            oi = cur[R - 1];
+          });
     }
     if (oi != n_outliers)
       throw std::runtime_error("sz: outlier stream not fully consumed");
@@ -1006,8 +930,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
           offsets[b + 1] =
               quantize_block(data.data() + b * vol, dims, abs_eb,
                              cfg.quant_radius, codes.data() + b * vol,
-                             recon.data() + b * vol, plan,
-                             cfg.profile == lossless::CodecProfile::kFast);
+                             recon.data() + b * vol, plan);
         },
         /*grain=*/1);
   }
@@ -1120,7 +1043,14 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
   Header h = read_header(r);
   if (h.info.scalar_size != sizeof(T))
     throw std::runtime_error("sz::decompress: scalar type mismatch");
-  const std::size_t vol = h.info.block_dims.volume();
+  // compress() never writes an empty block or a size that wraps, so
+  // either marks forged dims; rejecting them keeps every size below
+  // honest.
+  const Dims3 bd = h.info.block_dims;
+  if (!bd.volume_fits() || bd.volume() == 0 || h.info.nblocks == 0 ||
+      bd.volume() > ~std::size_t{0} / h.info.nblocks)
+    throw std::runtime_error("sz::decompress: block dims out of range");
+  const std::size_t vol = bd.volume();
   const std::size_t total = vol * h.info.nblocks;
 
   // Strict when the container declared a profile for this payload,
@@ -1221,7 +1151,6 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
   std::vector<T> out(total);
   const double eb = h.info.abs_error_bound;
   const std::uint32_t radius = h.cfg.quant_radius;
-  const bool wide = expected == lossless::CodecProfile::kFast;
   {
     TAC_SPAN_BYTES("sz.reconstruct", total * sizeof(T));
     parallel_for(
@@ -1230,7 +1159,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
           reconstruct_block(codes.data() + b * vol, h.info.block_dims, eb,
                             radius, outliers.data() + offsets[b],
                             offsets[b + 1] - offsets[b], out.data() + b * vol,
-                            plans.empty() ? nullptr : &plans[b], wide);
+                            plans.empty() ? nullptr : &plans[b]);
         },
         /*grain=*/1);
   }

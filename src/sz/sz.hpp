@@ -50,8 +50,7 @@ template <class T>
 /// v3 index declared a codec profile for this payload), every embedded
 /// lossless blob must carry a method byte of that profile — a mismatch is
 /// a lossless::ProfileError; nullopt decodes leniently (pre-v3
-/// containers). The fast profile also selects the wide-wavefront Lorenzo
-/// reconstruction order (same values, better ILP).
+/// containers).
 template <class T>
 [[nodiscard]] std::vector<T> decompress(
     std::span<const std::uint8_t> bytes,

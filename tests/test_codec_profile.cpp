@@ -143,9 +143,9 @@ TEST(CodecProfile, StrictDecodeRejectsTheOtherProfilesStream) {
   }
 }
 
-// The fast profile reorders the Lorenzo scan and swaps the dictionary
-// stage, but decoded values must stay bit-identical to the legacy path:
-// same predictions, same quantization, same outliers.
+// The fast profile swaps the dictionary stage, but decoded values must
+// stay bit-identical to the legacy path: same predictions, same
+// quantization, same outliers.
 TEST(CodecProfile, SzDecodedValuesBitIdenticalAcrossProfiles) {
   struct Case {
     Dims3 dims;
@@ -296,7 +296,7 @@ TEST(CodecProfile, FlippedProfileByteIsATypedError) {
   }
 }
 
-// The fast profile's wavefront scan and chained matcher must not leak
+// The Lorenzo wavefront and the fast profile's chained matcher must not leak
 // scheduling into the bytes: any thread count, SIMD or scalar, one
 // container.
 TEST(CodecProfile, FastProfileOutputStableAcrossThreadsAndSimd) {

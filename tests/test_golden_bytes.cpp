@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <iomanip>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <span>
@@ -12,7 +14,9 @@
 #include "common/simd.hpp"
 #include "core/backend.hpp"
 #include "core/tac.hpp"
+#include "golden_dataset.hpp"
 #include "lossless/codec.hpp"
+#include "sz/sz.hpp"
 
 /// Pins the exact container bytes (CRC32 + size) every built-in method
 /// writes for one small dataset, and the bits they decode back to, so a
@@ -23,6 +27,9 @@
 /// on the library. Each container is produced at 1 and 4 workers and with
 /// the SIMD kernels forced to scalar, which must all agree.
 ///
+/// A second table pins raw `sz::compress` streams directly, over extents
+/// chosen to hit every remainder of the Lorenzo wavefront.
+///
 /// When a change alters the format on purpose, the failure message prints
 /// the replacement table row for every case that moved.
 
@@ -30,55 +37,6 @@ namespace tac::core {
 namespace {
 
 using lossless::CodecProfile;
-
-/// Three levels (finest first, ratio 2) that partition a 32^3 domain: the
-/// finest level owns the fine cells under a refined set of level-1 cells
-/// (whole unit blocks plus a ragged corner, about a third of the blocks),
-/// level 1 owns the rest of that set's level-2 parents, and level 2
-/// everything else. The finest level is a smooth polynomial (TAC picks
-/// OpST and wins it under `auto`); the coarse levels add a saw-tooth term
-/// that favours the 1D stream, so the `auto` containers mix both methods.
-amr::AmrDataset golden_dataset() {
-  const auto refined1 = [](std::size_t x, std::size_t y, std::size_t z) {
-    return ((x / 4) * 3 + (y / 4) * 5 + z / 4) % 4 == 0 || (x < 3 && y < 7);
-  };
-  const auto refined2 = [](std::size_t x, std::size_t y, std::size_t z) {
-    return (x + y + z) % 3 != 0 || z < 2;
-  };
-  const auto value = [](std::size_t level, std::size_t x, std::size_t y,
-                        std::size_t z) {
-    // The cell's low corner in finest-grid coordinates.
-    const std::size_t s = std::size_t{1} << level;
-    const double fx = static_cast<double>(x * s);
-    const double fy = static_cast<double>(y * s);
-    const double fz = static_cast<double>(z * s);
-    const double saw = static_cast<double>(level * ((x * 7 + y * 3 + z) % 11));
-    return (fx * fy + 3.0 * fy * fz - 2.0 * fz * fx) / 64.0 + saw / 5.0 +
-           100.0;
-  };
-  std::vector<amr::AmrLevel> levels;
-  for (std::size_t l = 0; l < 3; ++l) {
-    const std::size_t n = std::size_t{32} >> l;
-    amr::AmrLevel lv({n, n, n});
-    for (std::size_t z = 0; z < n; ++z)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t x = 0; x < n; ++x) {
-          bool owned = false;
-          if (l == 0)
-            owned = refined1(x / 2, y / 2, z / 2) &&
-                    refined2(x / 4, y / 4, z / 4);
-          else if (l == 1)
-            owned = !refined1(x, y, z) && refined2(x / 2, y / 2, z / 2);
-          else
-            owned = !refined2(x, y, z);
-          if (!owned) continue;
-          lv.mask(x, y, z) = 1;
-          lv.data(x, y, z) = value(l, x, y, z);
-        }
-    levels.push_back(std::move(lv));
-  }
-  return amr::AmrDataset("golden", std::move(levels), 2);
-}
 
 /// One pinned container. The name is `<method>/<bound>/<profile>`: a
 /// registry name or `TAC:<strategy>`; `abs`, `rel` or `lvl` (per-level
@@ -166,7 +124,7 @@ constexpr GoldenCase kGolden[] = {
 };
 
 std::vector<std::uint8_t> compress_case(const CaseConfig& c) {
-  return backend_for(c.method).compress(golden_dataset(), c.cfg).bytes;
+  return backend_for(c.method).compress(test::golden_dataset(), c.cfg).bytes;
 }
 
 std::uint32_t decoded_crc(std::span<const std::uint8_t> bytes) {
@@ -203,6 +161,197 @@ TEST(GoldenBytes, ContainersMatchRecordedChecksums) {
     const std::vector<std::uint8_t> scalar = compress_case(c);
     simd::force_scalar(was_scalar);
     EXPECT_EQ(scalar, bytes) << "scalar kernels";
+  }
+}
+
+/// One pinned raw sz stream of kRawBlocks blocks. The name is
+/// `<f64|f32>/<nx>x<ny>x<nz>/<profile>`, the extents of one block.
+struct RawCase {
+  const char* name;
+  std::uint32_t crc;      ///< CRC32 of the stream
+  std::size_t size;       ///< stream bytes
+  std::uint32_t decoded;  ///< CRC32 of the decoded values' bits
+};
+
+constexpr std::size_t kRawBlocks = 2;
+
+/// kRawBlocks blocks of a field built from integer and rational
+/// arithmetic. Exact outliers sit on every plane z >= 1, at both row ends
+/// and mid-row, on rows 1, 4, 5, 8 and ny - 1: the first and last rows of
+/// each 4-row wavefront and of every remainder. They cycle through NaN,
+/// +inf, -inf, a value far past the quantizer's reach, and -0.0 (finite,
+/// so it quantizes).
+template <class T>
+std::vector<T> raw_field(Dims3 dims) {
+  const std::size_t vol = dims.volume();
+  std::vector<T> v(vol * kRawBlocks);
+  for (std::size_t b = 0; b < kRawBlocks; ++b)
+    for (std::size_t z = 0; z < dims.nz; ++z)
+      for (std::size_t y = 0; y < dims.ny; ++y)
+        for (std::size_t x = 0; x < dims.nx; ++x)
+          v[b * vol + dims.index(x, y, z)] = static_cast<T>(
+              0.25 * static_cast<double>(x) + 0.5 * static_cast<double>(y) -
+              0.75 * static_cast<double>(z) +
+              static_cast<double>((x * 5 + y * 3 + z * 7 + b) % 13) / 64.0);
+  const T specials[] = {std::numeric_limits<T>::quiet_NaN(),
+                        std::numeric_limits<T>::infinity(),
+                        -std::numeric_limits<T>::infinity(), T(1e30),
+                        T(-0.0)};
+  std::size_t s = 0;
+  for (std::size_t b = 0; b < kRawBlocks; ++b)
+    for (std::size_t z = 1; z < dims.nz; ++z)
+      for (const std::size_t y : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{5}, std::size_t{8},
+                                  dims.ny - 1})
+        if (y >= 1 && y < dims.ny)
+          for (const std::size_t x : {std::size_t{0}, dims.nx / 2,
+                                      dims.nx - 1})
+            v[b * vol + dims.index(x, y, z)] = specials[s++ % 5];
+  return v;
+}
+
+// ny - 1 (the interior rows of a plane) covers every remainder mod 4, and
+// nx lies below and above 1 + 3 * kRowLag, where a 4-row front first runs
+// all rows at once. Recorded before the Lorenzo kernels lost their
+// profile-dependent scan orders.
+constexpr RawCase kRawGolden[] = {
+    {"f64/5x2x3/legacy", 0xf3976735u, 174, 0x604fd771u},
+    {"f64/5x2x3/fast", 0xee701ee7u, 170, 0x604fd771u},
+    {"f64/5x3x3/legacy", 0x25fc97b4u, 218, 0x169bed99u},
+    {"f64/5x3x3/fast", 0xb6e45e40u, 213, 0x169bed99u},
+    {"f64/5x4x3/legacy", 0x965d5b69u, 276, 0xc188c074u},
+    {"f64/5x4x3/fast", 0x594a42d4u, 270, 0xc188c074u},
+    {"f64/5x5x3/legacy", 0x5f31098bu, 315, 0x9d88f9f5u},
+    {"f64/5x5x3/fast", 0x65ba243eu, 307, 0x9d88f9f5u},
+    {"f64/5x6x3/legacy", 0xda9e8c19u, 373, 0x7ac7c638u},
+    {"f64/5x6x3/fast", 0x29dcc26fu, 363, 0x7ac7c638u},
+    {"f64/5x7x3/legacy", 0xb472ab62u, 390, 0xe765de2eu},
+    {"f64/5x7x3/fast", 0xd3444102u, 384, 0xe765de2eu},
+    {"f64/5x8x3/legacy", 0x30ad55cbu, 459, 0xee475cf8u},
+    {"f64/5x8x3/fast", 0x2047e14cu, 454, 0xee475cf8u},
+    {"f64/5x9x3/legacy", 0xf7b84aeeu, 438, 0xd2c6acd2u},
+    {"f64/5x9x3/fast", 0xdfe5b151u, 435, 0xd2c6acd2u},
+    {"f64/13x2x3/legacy", 0x6d1ea1e6u, 244, 0xd9842327u},
+    {"f64/13x2x3/fast", 0x9d36a1fdu, 240, 0xd9842327u},
+    {"f64/13x3x3/legacy", 0xc4ee21adu, 329, 0x10880c8fu},
+    {"f64/13x3x3/fast", 0xe104992cu, 325, 0x10880c8fu},
+    {"f64/13x4x3/legacy", 0x7f5917f8u, 416, 0x1427ee19u},
+    {"f64/13x4x3/fast", 0x4466ad38u, 410, 0x1427ee19u},
+    {"f64/13x5x3/legacy", 0xdda39c83u, 452, 0x8f320908u},
+    {"f64/13x5x3/fast", 0xfce8a48bu, 447, 0x8f320908u},
+    {"f64/13x6x3/legacy", 0x52535562u, 546, 0xf279408au},
+    {"f64/13x6x3/fast", 0xee9b5fa2u, 533, 0xf279408au},
+    {"f64/13x7x3/legacy", 0x86c96107u, 592, 0xe1c2d6aeu},
+    {"f64/13x7x3/fast", 0xc7468032u, 583, 0xe1c2d6aeu},
+    {"f64/13x8x3/legacy", 0x1a82b4a5u, 680, 0x5ff2573fu},
+    {"f64/13x8x3/fast", 0xabbe53d1u, 660, 0x5ff2573fu},
+    {"f64/13x9x3/legacy", 0x6e841e46u, 694, 0x545a7468u},
+    {"f64/13x9x3/fast", 0x8a3fd4c9u, 692, 0x545a7468u},
+    {"f32/5x2x3/legacy", 0x8ed5cd52u, 163, 0x8bc6a2c1u},
+    {"f32/5x2x3/fast", 0x748f08a4u, 161, 0x8bc6a2c1u},
+    {"f32/5x3x3/legacy", 0x48b485afu, 198, 0x57c35174u},
+    {"f32/5x3x3/fast", 0x7e21ac83u, 194, 0x57c35174u},
+    {"f32/5x4x3/legacy", 0x32a89c49u, 262, 0x09807564u},
+    {"f32/5x4x3/fast", 0x3dfe4c56u, 256, 0x09807564u},
+    {"f32/5x5x3/legacy", 0x481bda0au, 305, 0x3e403505u},
+    {"f32/5x5x3/fast", 0x5777d41au, 297, 0x3e403505u},
+    {"f32/5x6x3/legacy", 0x73e0106au, 348, 0x4cc3a1fau},
+    {"f32/5x6x3/fast", 0xb9811182u, 340, 0x4cc3a1fau},
+    {"f32/5x7x3/legacy", 0x0a468997u, 365, 0x47871be2u},
+    {"f32/5x7x3/fast", 0xb1d65266u, 355, 0x47871be2u},
+    {"f32/5x8x3/legacy", 0xc582d8bau, 439, 0x5adac2c2u},
+    {"f32/5x8x3/fast", 0xbda3bd50u, 424, 0x5adac2c2u},
+    {"f32/5x9x3/legacy", 0x251648d5u, 435, 0xd769c5c0u},
+    {"f32/5x9x3/fast", 0x425dc513u, 409, 0xd769c5c0u},
+    {"f32/13x2x3/legacy", 0xfdd037e4u, 231, 0x4cc8c213u},
+    {"f32/13x2x3/fast", 0x4ee0534du, 229, 0x4cc8c213u},
+    {"f32/13x3x3/legacy", 0x878e4208u, 304, 0x7d5a5a87u},
+    {"f32/13x3x3/fast", 0x2dff167au, 299, 0x7d5a5a87u},
+    {"f32/13x4x3/legacy", 0x95d665d5u, 399, 0xbd5596c9u},
+    {"f32/13x4x3/fast", 0x9329c7ffu, 392, 0xbd5596c9u},
+    {"f32/13x5x3/legacy", 0x862ef20bu, 441, 0x144f794bu},
+    {"f32/13x5x3/fast", 0x72386018u, 436, 0x144f794bu},
+    {"f32/13x6x3/legacy", 0xea1d13afu, 512, 0x4a0b8c5bu},
+    {"f32/13x6x3/fast", 0xee3f22c6u, 504, 0x4a0b8c5bu},
+    {"f32/13x7x3/legacy", 0xeeac3a92u, 563, 0xfd9bb6ffu},
+    {"f32/13x7x3/fast", 0x48640089u, 537, 0xfd9bb6ffu},
+    {"f32/13x8x3/legacy", 0x04e76acbu, 657, 0x44d55b65u},
+    {"f32/13x8x3/fast", 0xdeb50f94u, 644, 0x44d55b65u},
+    {"f32/13x9x3/legacy", 0xdbe51664u, 684, 0x0acd70d2u},
+    {"f32/13x9x3/fast", 0x5f68bb09u, 664, 0x0acd70d2u},
+};
+
+template <class T>
+void check_raw(const RawCase& g) {
+  std::istringstream is(g.name);
+  std::string type;
+  std::string profile_name;
+  Dims3 dims;
+  char sep = 0;
+  std::getline(is, type, '/');
+  is >> dims.nx >> sep >> dims.ny >> sep >> dims.nz >> sep;
+  std::getline(is, profile_name);
+  sz::SzConfig cfg;
+  cfg.error_bound = 0.01;
+  cfg.profile =
+      profile_name == "fast" ? CodecProfile::kFast : CodecProfile::kLegacy;
+
+  const std::vector<T> data = raw_field<T>(dims);
+  const auto compress = [&] {
+    return sz::compress<T>(data, dims, cfg, kRawBlocks);
+  };
+  const auto bits = [](const std::vector<T>& v) {
+    return crc32({reinterpret_cast<const std::uint8_t*>(v.data()),
+                  v.size() * sizeof(T)});
+  };
+  std::vector<std::uint8_t> bytes;
+  {
+    const ParallelismGuard one(1);
+    bytes = compress();
+  }
+  const std::uint32_t crc = crc32(bytes);
+  const std::uint32_t decoded = bits(sz::decompress<T>(bytes, cfg.profile));
+  if (crc != g.crc || bytes.size() != g.size || decoded != g.decoded)
+    ADD_FAILURE() << "stream or decode moved; new row:\n    {\""
+                  << g.name << "\", " << hex32(crc) << ", " << bytes.size()
+                  << ", " << hex32(decoded) << "},";
+  {
+    const ParallelismGuard four(4);
+    EXPECT_EQ(compress(), bytes) << "4 workers";
+  }
+  const bool was_scalar = simd::scalar_forced();
+  simd::force_scalar(true);
+  EXPECT_EQ(compress(), bytes) << "scalar kernels";
+  simd::force_scalar(was_scalar);
+
+  // A strict decode under the other profile may reject the stream's
+  // lossless method bytes; every decode that runs must give the same bits.
+  for (const std::optional<CodecProfile> expected :
+       {std::optional{CodecProfile::kFast},
+        std::optional{CodecProfile::kLegacy},
+        std::optional<CodecProfile>{}}) {
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "decode as "
+                   << (expected ? lossless::to_string(*expected) : "lenient")
+                   << " at " << workers << " workers");
+      const ParallelismGuard guard(workers);
+      try {
+        EXPECT_EQ(bits(sz::decompress<T>(bytes, expected)), g.decoded);
+      } catch (const lossless::ProfileError&) {
+        EXPECT_TRUE(expected && *expected != cfg.profile);
+      }
+    }
+  }
+}
+
+TEST(GoldenBytes, RawSzStreamsMatchRecordedChecksums) {
+  for (const RawCase& g : kRawGolden) {
+    SCOPED_TRACE(g.name);
+    if (std::string(g.name).starts_with("f32"))
+      check_raw<float>(g);
+    else
+      check_raw<double>(g);
   }
 }
 

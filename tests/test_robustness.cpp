@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
 #include "amr/amr_io.hpp"
+#include "common/crc32.hpp"
 #include "core/adaptive.hpp"
 #include "core/backend.hpp"
 #include "core/baselines.hpp"
 #include "core/container.hpp"
 #include "core/tac.hpp"
 #include "lossless/codec.hpp"
+#include "lossless/huffman.hpp"
 #include "simnyx/generator.hpp"
 #include "sz/sz.hpp"
 
@@ -208,6 +211,131 @@ TEST(Robustness, AmrIoShortMaskRejectedBeforeAllocating) {
   EXPECT_THROW(
       (void)amr::dataset_from_bytes(forged_amr(huge, {0xFF, 0xFF, 0xFF})),
       std::runtime_error);
+}
+
+/// A one-level TAC container whose level payload is replaced by
+/// `payload`, with the index entry's length and CRC recomputed so the
+/// decoder gets past the checksum and parses the forged bytes.
+std::vector<std::uint8_t> tac_container_with_payload(
+    const std::vector<std::uint8_t>& payload) {
+  amr::AmrLevel lv({16, 16, 16});
+  for (std::size_t i = 0; i < lv.data.size(); ++i) {
+    lv.mask[i] = 1;
+    lv.data[i] = static_cast<double>(i % 17);
+  }
+  std::vector<amr::AmrLevel> levels;
+  levels.push_back(std::move(lv));
+  core::TacConfig cfg;
+  cfg.force_strategy = core::Strategy::kNaST;
+  std::vector<std::uint8_t> bytes =
+      core::tac_compress(amr::AmrDataset("forged", std::move(levels)), cfg)
+          .bytes;
+  ByteReader r(bytes);
+  const core::CommonHeader h = core::read_common_header(r);
+  EXPECT_EQ(h.index.entries.size(), 1u);
+  const core::PayloadEntry e = h.index.entries.at(0);
+  // The only payload is the container's last one: swap it in place.
+  EXPECT_EQ(e.offset + e.length, bytes.size());
+  bytes.resize(e.offset);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  // Entry 0 follows the one-byte entry count at index_offset.
+  ByteWriter w;
+  w.put_bytes(bytes);
+  core::PayloadEntry forged = e;
+  forged.length = payload.size();
+  forged.crc32 = crc32(payload);
+  core::patch_payload_entry(w, h.index_offset + 1, forged);
+  return w.take();
+}
+
+/// The head of a NaST level payload: strategy tag and block size.
+ByteWriter nast_payload_head() {
+  ByteWriter w;
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(core::Strategy::kNaST));
+  w.put_varint(8);
+  return w;
+}
+
+TEST(Robustness, ForgedGroupCountRejectedBeforeReserving) {
+  // A well-formed payload with no groups decodes, so what the forged
+  // payload below trips is its count, not the splice.
+  {
+    ByteWriter w = nast_payload_head();
+    w.put_varint(0);
+    EXPECT_NO_THROW((void)core::decompress_any(
+        tac_container_with_payload(w.take())));
+  }
+  // 2^50 groups would reserve petabytes of BlockGroup slots.
+  ByteWriter w = nast_payload_head();
+  w.put_varint(std::uint64_t{1} << 50);
+  w.put_bytes(std::vector<std::uint8_t>(16, 1));
+  EXPECT_THROW(
+      (void)core::decompress_any(tac_container_with_payload(w.take())),
+      std::runtime_error);
+}
+
+TEST(Robustness, ForgedMemberCountRejectedBeforeReserving) {
+  ByteWriter w = nast_payload_head();
+  w.put_varint(1);  // one group of 1x1x1-block members
+  w.put_varint(1);
+  w.put_varint(1);
+  w.put_varint(1);
+  w.put_varint(std::uint64_t{1} << 50);
+  w.put_bytes(std::vector<std::uint8_t>(16, 1));
+  EXPECT_THROW(
+      (void)core::decompress_any(tac_container_with_payload(w.take())),
+      std::runtime_error);
+}
+
+TEST(Robustness, ForgedHuffmanSymbolCountRejectedBeforeReserving) {
+  ByteWriter table;
+  table.put_varint(std::uint64_t{1} << 50);
+  table.put_bytes(std::vector<std::uint8_t>(16, 1));
+  EXPECT_THROW((void)lossless::huffman_table_deserialize(table.buffer()),
+               std::runtime_error);
+  ByteWriter stream;
+  stream.put_varint(1);  // symbol count
+  stream.put_blob(table.buffer());
+  stream.put_blob({});
+  EXPECT_THROW((void)lossless::huffman_decompress(stream.buffer()),
+               std::runtime_error);
+}
+
+/// A constant sz stream of one value whose header declares `nblocks`
+/// blocks of extents `d`.
+std::vector<std::uint8_t> sz_constant_with_dims(Dims3 d,
+                                                std::uint64_t nblocks) {
+  const std::vector<double> one{1.0};
+  const auto real = sz::compress<double>(one, {1, 1, 1}, sz::SzConfig{});
+  // Magic, version and scalar size take four bytes; the four one-byte
+  // varints that follow are the dims and block count.
+  ByteWriter w;
+  w.put_bytes(std::span(real).first(4));
+  w.put_varint(d.nx);
+  w.put_varint(d.ny);
+  w.put_varint(d.nz);
+  w.put_varint(nblocks);
+  w.put_bytes(std::span(real).subspan(8));
+  return w.take();
+}
+
+TEST(Robustness, SzBlockDimsWhoseSizeOverflowsRejected) {
+  EXPECT_EQ(sz::decompress<double>(sz_constant_with_dims({1, 1, 1}, 1)),
+            std::vector<double>{1.0});
+  const std::size_t big = std::size_t{1} << 32;
+  const std::size_t mid = std::size_t{1} << 20;
+  for (const auto& [d, nblocks] :
+       {std::pair{Dims3{big, big, 1}, 1u},     // volume wraps to 0
+        std::pair{Dims3{1, big, big}, 1u},
+        std::pair{Dims3{mid, mid, mid}, 16u},  // volume * nblocks wraps to 0
+        std::pair{Dims3{mid, mid, mid}, 17u},  // ... to 2^60
+        std::pair{Dims3{0, 1, 1}, 1u},         // compress never writes these
+        std::pair{Dims3{1, 1, 1}, 0u}}) {
+    SCOPED_TRACE(testing::Message() << d << " x " << nblocks);
+    EXPECT_THROW(
+        (void)sz::decompress<double>(sz_constant_with_dims(d, nblocks)),
+        std::runtime_error);
+  }
 }
 
 TEST(Robustness, SzStreamTruncationSweep) {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "core/backend.hpp"
 #include "core/baselines.hpp"
 #include "core/tac.hpp"
+#include "golden_dataset.hpp"
 #include "lossless/codec.hpp"
 #include "simnyx/generator.hpp"
 
@@ -267,6 +269,35 @@ bool same_bits(const Array3D<double>& a, const Array3D<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// The decode invariant for one container of `ds`: every valid cell of
+/// level l within `eb(l)`, every invalid cell +0.0 bits, and
+/// `decompress_level(l)` bit-identical to the full decode.
+void expect_decode_invariant(const amr::AmrDataset& ds,
+                             std::span<const std::uint8_t> bytes,
+                             const std::function<double(std::size_t)>& eb) {
+  const auto full = decompress_any(bytes);
+  ASSERT_EQ(full.num_levels(), ds.num_levels());
+  for (std::size_t l = 0; l < ds.num_levels(); ++l) {
+    const auto& ol = ds.level(l);
+    const auto& rl = full.level(l);
+    ASSERT_EQ(rl.mask, ol.mask) << "level " << l;
+    std::size_t not_zero = 0;
+    double max_err = 0;
+    for (std::size_t i = 0; i < ol.data.size(); ++i) {
+      if (ol.mask[i])
+        max_err = std::max(max_err, std::fabs(ol.data[i] - rl.data[i]));
+      else if (std::bit_cast<std::uint64_t>(rl.data[i]) != 0)
+        ++not_zero;
+    }
+    EXPECT_EQ(not_zero, 0u) << "invalid cells not +0.0 at level " << l;
+    EXPECT_LE(max_err, eb(l)) << "level " << l;
+
+    const auto one = decompress_level(bytes, l);
+    EXPECT_EQ(one.mask, rl.mask) << "level " << l;
+    EXPECT_TRUE(same_bits(one.data, rl.data)) << "level " << l;
+  }
+}
+
 /// One invariant sweep: every level-capable backend (the five forced TAC
 /// strategies, 1D, and `auto` restricted to {TAC}, to {1D} and with the
 /// default candidates) under absolute, relative and per-level bounds in
@@ -321,35 +352,50 @@ TEST(DecodeInvariant, InvalidCellsArePositiveZeroAndLevelReadsMatch) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const auto bytes = backend_for(c.method).compress(ds, c.cfg).bytes;
-    const auto full = decompress_any(bytes);
-    ASSERT_EQ(full.num_levels(), ds.num_levels());
-    for (std::size_t l = 0; l < ds.num_levels(); ++l) {
-      const auto& ol = ds.level(l);
-      const auto& rl = full.level(l);
-      double eb = c.cfg.sz.error_bound;
-      if (!c.cfg.level_error_bounds.empty()) {
-        eb = c.cfg.level_error_bounds[l];
-      } else if (c.cfg.sz.mode == sz::ErrorBoundMode::kRelative) {
-        const auto [lo, hi] = ol.valid_range();
-        eb *= hi - lo;
-      }
-      ASSERT_EQ(rl.mask, ol.mask) << "level " << l;
-      std::size_t not_zero = 0;
-      double max_err = 0;
-      for (std::size_t i = 0; i < ol.data.size(); ++i) {
-        if (ol.mask[i])
-          max_err = std::max(max_err, std::fabs(ol.data[i] - rl.data[i]));
-        else if (std::bit_cast<std::uint64_t>(rl.data[i]) != 0)
-          ++not_zero;
-      }
-      EXPECT_EQ(not_zero, 0u) << "invalid cells not +0.0 at level " << l;
-      EXPECT_LE(max_err, eb) << "level " << l;
-
-      const auto one = decompress_level(bytes, l);
-      EXPECT_EQ(one.mask, rl.mask) << "level " << l;
-      EXPECT_TRUE(same_bits(one.data, rl.data)) << "level " << l;
-    }
+    expect_decode_invariant(ds, bytes, [&](std::size_t l) {
+      if (!c.cfg.level_error_bounds.empty())
+        return c.cfg.level_error_bounds[l];
+      if (c.cfg.sz.mode != sz::ErrorBoundMode::kRelative)
+        return c.cfg.sz.error_bound;
+      const auto [lo, hi] = ds.level(l).valid_range();
+      return c.cfg.sz.error_bound * (hi - lo);
+    });
   }
+}
+
+/// zMesh and 3D compress the whole dataset as one stream, so they need
+/// levels that partition the domain (invariant_dataset's do not), and a
+/// relative bound resolves against the value range of every level
+/// together.
+TEST(DecodeInvariant, ZMeshAnd3DHoldTheBoundOnAPartitionedDomain) {
+  const auto ds = test::golden_dataset();
+  double lo = 0;
+  double hi = 0;
+  for (std::size_t l = 0; l < ds.num_levels(); ++l) {
+    const auto [llo, lhi] = ds.level(l).valid_range();
+    lo = l == 0 ? llo : std::min(lo, llo);
+    hi = l == 0 ? lhi : std::max(hi, lhi);
+  }
+  for (const Method m : {Method::kZMesh, Method::kUpsample3D})
+    for (const auto mode :
+         {sz::ErrorBoundMode::kAbsolute, sz::ErrorBoundMode::kRelative})
+      for (const auto profile :
+           {lossless::CodecProfile::kLegacy, lossless::CodecProfile::kFast}) {
+        TacConfig cfg;
+        cfg.sz.profile = profile;
+        cfg.sz.mode = mode;
+        cfg.sz.error_bound =
+            mode == sz::ErrorBoundMode::kRelative ? 2e-3 : 1e-2;
+        const double eb = mode == sz::ErrorBoundMode::kRelative
+                              ? cfg.sz.error_bound * (hi - lo)
+                              : cfg.sz.error_bound;
+        SCOPED_TRACE(testing::Message()
+                     << to_string(m) << "/"
+                     << (mode == sz::ErrorBoundMode::kRelative ? "rel" : "abs")
+                     << "/" << lossless::to_string(profile));
+        const auto bytes = backend_for(m).compress(ds, cfg).bytes;
+        expect_decode_invariant(ds, bytes, [&](std::size_t) { return eb; });
+      }
 }
 
 TEST(Container, MethodSniffing) {
